@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, UnsupportedOperationError
-from .invertibility import OrthogonalDecomposition, is_invertible
+from .invertibility import OrthogonalDecomposition, invertibility_failure
 from .matrices import Matrix
 
 
@@ -138,7 +138,11 @@ def count_nilpotent_bruteforce(semiring, n, budget=DEFAULT_BUDGET):
 
 
 def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
-    """All invertible n x n matrices, in counter (row-major carrier) order."""
+    """All invertible n x n matrices, in counter (row-major carrier) order.
+
+    Membership is the A*A^T definition, not the atom algorithm behind
+    ``is_invertible``, so the group order checks the structure theorem.
+    """
     _require_finite(semiring)
     semiring.ensure_nondegenerate()
     total = _state_count(semiring, n, budget)
@@ -148,7 +152,7 @@ def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
         part = []
         for grid in _grids(elements, n, start, stop):
             m = Matrix._make(semiring, grid)
-            if is_invertible(m):
+            if invertibility_failure(m) is None:
                 part.append(m)
         found.extend(part)
     return found

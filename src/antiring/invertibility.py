@@ -1,10 +1,18 @@
 """Invertibility over commutative antirings.
 
-An invertible matrix factors as D * sum(a_s * P_s): an invertible diagonal
-times an orthogonal combination of permutation matrices.  This module tests
-invertibility, computes that factorization and the explicit inverse, finds
-the maximal orthogonal decomposition of 1, and encodes/decodes the resulting
-semidirect-product coordinates of the group of invertible matrices.
+A matrix is invertible iff it is D * sum_e(e * P_e): an invertible diagonal D
+times one permutation matrix per atom e of the maximal orthogonal
+decomposition of 1 (a single atom, 1 itself, over entire semirings).  That
+theorem is the algorithm: row sums give D, each atom e reads its permutation
+off the unique nonzero of e*A in every row, and rebuilding the product and
+comparing it with A entrywise decides.  One pass costs O(k * n^2) semiring
+operations for k atoms, and yields the factorization, the explicit inverse
+sum_e(e * P_e^T) * D^-1 and the semidirect-product coordinates of the group
+of invertible matrices.
+
+The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
+:func:`invertibility_failure`: an independent oracle, and the source of the
+reason a refusal names.
 """
 
 import itertools
@@ -46,7 +54,10 @@ class OrthogonalDecomposition:
                     f"{semiring.format_element(b)} are not orthogonal"
                 )
         for p in parts:
-            assert mul(p, p) == p, "decomposition part is not idempotent"
+            if mul(p, p) != p:
+                raise ValueError(
+                    f"part {semiring.format_element(p)} is not idempotent"
+                )
         self.semiring = semiring
         self.parts = parts
 
@@ -98,18 +109,8 @@ class InvertibleFactorization:
 
     def reconstruct(self):
         """D * sum(a_s * P_s) as a Matrix."""
-        sr = self.semiring
-        add, mul, zero = sr.add, sr.mul, sr.zero
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for a, p in self.terms:
-            for i in range(1, self.n + 1):
-                j = p(i)
-                cur = rows[i - 1][j - 1]
-                rows[i - 1][j - 1] = a if cur == zero else add(cur, a)
-        for i in range(self.n):
-            d = self.diag[i]
-            rows[i] = [mul(d, v) if v != zero else zero for v in rows[i]]
-        return Matrix._make(sr, tuple(tuple(r) for r in rows))
+        terms = ((a, p.images) for a, p in self.terms)
+        return Matrix._make(self.semiring, _rebuild(self.semiring, self.diag, terms))
 
     def __repr__(self):
         return (
@@ -168,8 +169,10 @@ class GlCoordinates:
 def invertibility_failure(matrix):
     """None when the matrix is invertible, else a message naming the violation.
 
-    Invertibility over a commutative antiring: A*A^T and A^T*A are diagonal
-    with every diagonal entry a unit.
+    The definition over a commutative antiring: A*A^T and A^T*A are diagonal
+    with every diagonal entry a unit.  Two matrix products, so O(n^3); the
+    library decides invertibility from atoms and calls this only to name
+    the reason for a refusal.  Tests use it as the oracle.
     """
     matrix.semiring.ensure_antiring()
     sr = matrix.semiring
@@ -190,132 +193,116 @@ def invertibility_failure(matrix):
     return None
 
 
-def is_invertible(matrix):
-    return invertibility_failure(matrix) is None
+def _rebuild(semiring, diag, terms):
+    """Rows of D * sum(a * P) over (a, images) terms; images are 1-based one-line."""
+    add, mul, zero = semiring.add, semiring.mul, semiring.zero
+    n = len(diag)
+    rows = [[zero] * n for _ in range(n)]
+    for a, images in terms:
+        for row, j in zip(rows, images):
+            cur = row[j - 1]
+            row[j - 1] = a if cur == zero else add(cur, a)
+    return tuple(
+        tuple(mul(d, v) if v != zero else zero for v in row) for d, row in zip(diag, rows)
+    )
 
 
-def _candidate_permutations(supports):
-    """Permutation images drawn row-by-row from the nonzero column sets.
+def _atom_coordinates(matrix):
+    """(diag, atoms, perms) with matrix = D * sum_e(e * P_e), or None.
 
-    Yields image tuples in lexicographic order; the support sets of an
-    invertible matrix are tiny, so this never comes near n! work.
+    ``diag`` holds the row sums, each a unit; ``atoms`` the parts of the
+    maximal orthogonal decomposition of 1; ``perms`` one tuple of 1-based
+    images per atom, where sigma_e(i) is the unique j with e*A(i,j) != 0.
+    The final entrywise comparison certifies a success on its own: that form
+    has the explicit inverse sum_e(e * P_e^T) * D^-1.  O(k * n^2) for k atoms.
     """
-    n = len(supports)
-    images = [0] * n
-    used = [False] * (n + 1)
+    sr = matrix.semiring
+    sr.ensure_antiring()
+    add, mul, zero = sr.add, sr.mul, sr.zero
+    rows = matrix.rows
+    n = len(rows)
+    diag = []
+    supports = []
+    for row in rows:
+        support = [(j, v) for j, v in enumerate(row, start=1) if v != zero]
+        total = zero
+        for _, v in support:
+            total = add(total, v)
+        if sr.unit_inverse(total) is None:
+            return None
+        diag.append(total)
+        supports.append(support)
+    atoms = (sr.one,) if sr.is_entire else max_orthogonal_decomposition(sr).parts
+    perms = []
+    for e in atoms:
+        images = []
+        for support in supports:
+            hits = [j for j, v in support if mul(e, v) != zero]
+            if len(hits) != 1:
+                return None
+            images.append(hits[0])
+        if len(set(images)) != n:
+            return None
+        perms.append(tuple(images))
+    if _rebuild(sr, diag, zip(atoms, perms)) != rows:
+        return None
+    return tuple(diag), atoms, perms
 
-    def extend(i):
-        if i == n:
-            yield tuple(images)
-            return
-        for j in supports[i]:
-            if not used[j]:
-                used[j] = True
-                images[i] = j
-                yield from extend(i + 1)
-                used[j] = False
 
-    yield from extend(0)
+def _invertible_coordinates(matrix):
+    """_atom_coordinates, or NotInvertibleError naming the definitional reason."""
+    coords = _atom_coordinates(matrix)
+    if coords is None:
+        reason = invertibility_failure(matrix)
+        if reason is None:
+            raise RuntimeError(
+                "A*A^T test accepts a matrix that is not D * sum_e(e * P_e) "
+                "over the atoms of 1"
+            )
+        raise NotInvertibleError(f"matrix is not invertible: {reason}", reason=reason)
+    return coords
+
+
+def is_invertible(matrix):
+    """Whether the matrix is D * sum_e(e * P_e) over the atoms of 1; O(k * n^2)."""
+    return _atom_coordinates(matrix) is not None
 
 
 def factorize_invertible(matrix):
     """Factor an invertible matrix as D * sum(a_s * P_s).
 
-    Row sums give the diagonal: l_i = sum_k A(i,k) and D = Diag(l_1..l_n).
-    With L = prod(l_i), each permutation s in the row supports contributes
-    a_s = L^-1 * prod_i A(i, s(i)); zero coefficients are dropped.  The
-    result reconstructs the input exactly (checked).
+    D is Diag of the row sums.  Each atom e of the maximal orthogonal
+    decomposition of 1 reads off its permutation sigma_e from the unique
+    nonzero of e*A in each row, and a_s = sum{e : sigma_e = s}.  O(k * n^2)
+    for k atoms.  A non-invertible input raises NotInvertibleError whose
+    reason comes from the A*A^T definition (:func:`invertibility_failure`).
     """
-    reason = invertibility_failure(matrix)
-    if reason is not None:
-        raise NotInvertibleError(f"matrix is not invertible: {reason}", reason=reason)
+    diag, atoms, perms = _invertible_coordinates(matrix)
     sr = matrix.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    n = matrix.n
-
-    diag = []
-    for row in matrix.rows:
-        l = row[0]
-        for v in row[1:]:
-            l = add(l, v)
-        diag.append(l)
-    big_l = diag[0]
-    for l in diag[1:]:
-        big_l = mul(big_l, l)
-    big_l_inv = sr.unit_inverse(big_l)
-    assert big_l_inv is not None  # products of row sums of invertible A are units
-
-    supports = [
-        [j + 1 for j, v in enumerate(row) if v != zero] for row in matrix.rows
-    ]
-    terms = []
-    for images in _candidate_permutations(supports):
-        prod = big_l_inv
-        for i, j in enumerate(images):
-            prod = mul(prod, matrix.rows[i][j - 1])
-            if prod == zero:
-                break
-        if prod != zero:
-            terms.append((prod, Permutation(images)))
-
-    fact = InvertibleFactorization(sr, diag, terms)
-    assert fact.reconstruct() == matrix, "factorization failed to reconstruct its input"
-    return fact
+    coeffs = {}
+    for e, images in zip(atoms, perms):
+        coeffs[images] = sr.add(coeffs[images], e) if images in coeffs else e
+    terms = [(a, Permutation(images)) for images, a in coeffs.items()]
+    return InvertibleFactorization(sr, diag, terms)
 
 
 def invert(matrix):
     """The two-sided inverse of an invertible matrix.
 
-    Built from the factorization: B = sum_s a_s * Diag(d_{s^-1(1)}^-1, ...) * P_s^T,
-    which places a_s * d_j^-1 at position (s(j), j).  AB = BA = I is checked.
+    Built from the factorization: B = sum_s a_s * P_s^T * D^-1, the transpose
+    of D^-1 * sum_s a_s * P_s, so O(k * n^2).  The refusal reason is the one
+    of :func:`factorize_invertible`.  AB = BA = I is then checked with two
+    matrix products, and a failure raises RuntimeError.
     """
     fact = factorize_invertible(matrix)
     sr = matrix.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    n = matrix.n
     dinv = [sr.unit_inverse(d) for d in fact.diag]
-    rows = [[zero] * n for _ in range(n)]
-    for a, p in fact.terms:
-        for j in range(1, n + 1):
-            i = p(j)
-            v = mul(a, dinv[j - 1])
-            cur = rows[i - 1][j - 1]
-            rows[i - 1][j - 1] = v if cur == zero else add(cur, v)
-    inverse = Matrix._make(sr, tuple(tuple(r) for r in rows))
-    ident = Matrix.identity(sr, n)
-    assert matrix @ inverse == ident and inverse @ matrix == ident
+    terms = ((a, p.images) for a, p in fact.terms)
+    inverse = Matrix._make(sr, _rebuild(sr, dinv, terms)).transpose()
+    ident = Matrix.identity(sr, matrix.n)
+    if matrix @ inverse != ident or inverse @ matrix != ident:
+        raise RuntimeError("constructed inverse fails AB = BA = I")
     return inverse
-
-
-def _greedy_refinement(semiring):
-    """Refine {1} by splitting parts until no part splits further.
-
-    A split of a part e is a pair (x, y) of nonzero elements with x + y = e
-    and x*y = 0; zerosumfreeness makes x and y automatically orthogonal to
-    the other parts, and any maximal refinement is the unique maximal
-    decomposition.  Only idempotents can appear as parts, so only idempotent
-    pairs are scanned.
-    """
-    mul, add, zero = semiring.mul, semiring.add, semiring.zero
-    idem = [x for x in semiring.elements() if mul(x, x) == x and x != zero]
-    parts = [semiring.one]
-    changed = True
-    while changed:
-        changed = False
-        for idx, e in enumerate(parts):
-            found = None
-            for x in idem:
-                for y in idem:
-                    if add(x, y) == e and mul(x, y) == zero:
-                        found = (x, y)
-                        break
-                if found:
-                    break
-            if found:
-                parts[idx:idx + 1] = [found[0], found[1]]
-                changed = True
-                break
-    return parts
 
 
 def max_orthogonal_decomposition(semiring):
@@ -324,6 +311,7 @@ def max_orthogonal_decomposition(semiring):
     Chains are entire, so theirs is {1}; for the powerset lattice it is the
     singleton sets.  Table semirings go through greedy refinement, which is
     exhaustive in effect: every decomposition refines to the maximal one.
+    The refinement runs once per table semiring instance.
     """
     if not semiring.is_finite:
         raise UnsupportedOperationError(
@@ -337,44 +325,30 @@ def max_orthogonal_decomposition(semiring):
     elif semiring.kind == "powerset":
         parts = [frozenset([x]) for x in range(1, semiring.m + 1)]
     else:
-        parts = _greedy_refinement(semiring)
+        parts = semiring.atoms
     return OrthogonalDecomposition(semiring, parts)
 
 
 def gl_encode(matrix):
     """Coordinates (units, perms) of an invertible matrix over a finite semiring.
 
-    For each atom e of the maximal orthogonal decomposition, e*A collapses to
-    e*D*P for exactly one permutation P: atoms admit no further splitting.
+    The units are the row sums and the perms the sigma_e read off each atom e
+    of the maximal orthogonal decomposition: e*A has exactly one nonzero per
+    row, at (i, sigma_e(i)).  O(k * n^2) for k atoms; refusals as in
+    :func:`factorize_invertible`.
     """
     sr = matrix.semiring
     if not sr.is_finite:
         raise UnsupportedOperationError(
             f"gl_encode needs a finite semiring, not {sr.descriptor()}"
         )
-    fact = factorize_invertible(matrix)
-    atoms = max_orthogonal_decomposition(sr)
-    mul, zero = sr.mul, sr.zero
-    perms = []
-    for e in atoms.parts:
-        matching = [p for a, p in fact.terms if mul(e, a) != zero]
-        assert len(matching) == 1, "atom met several factorization coefficients"
-        perms.append(matching[0])
-    return GlCoordinates(sr, fact.diag, atoms, perms)
+    diag, _, perms = _invertible_coordinates(matrix)
+    return GlCoordinates(
+        sr, diag, max_orthogonal_decomposition(sr), [Permutation(p) for p in perms]
+    )
 
 
 def gl_decode(coords):
     """Rebuild the matrix D * sum_t(e_t * P_t) from its coordinates."""
-    sr = coords.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    n = len(coords.units)
-    rows = [[zero] * n for _ in range(n)]
-    for e, p in zip(coords.atoms.parts, coords.perms):
-        for i in range(1, n + 1):
-            j = p(i)
-            cur = rows[i - 1][j - 1]
-            rows[i - 1][j - 1] = e if cur == zero else add(cur, e)
-    for i in range(n):
-        d = coords.units[i]
-        rows[i] = [mul(d, v) if v != zero else zero for v in rows[i]]
-    return Matrix._make(sr, tuple(tuple(r) for r in rows))
+    terms = ((e, p.images) for e, p in zip(coords.atoms.parts, coords.perms))
+    return Matrix._make(coords.semiring, _rebuild(coords.semiring, coords.units, terms))

@@ -563,7 +563,7 @@ class TableSemiring(Semiring):
 
     Elements compare by index.  The axiom report is computed lazily, once,
     and consulted by the operations whose correctness depends on the antiring
-    axioms.
+    axioms; the atoms of 1 are likewise found once per instance.
     """
 
     kind = "table"
@@ -581,6 +581,7 @@ class TableSemiring(Semiring):
         self.mul = lambda a, b: mul_t[a][b]
         self._report = None
         self._units = None
+        self._atoms = None
 
     def _key(self):
         return (
@@ -614,6 +615,37 @@ class TableSemiring(Semiring):
                 f"{self.descriptor()} is not a commutative antiring "
                 f"(failed: {', '.join(sorted(failed))})"
             )
+
+    @property
+    def atoms(self):
+        """Parts of the maximal orthogonal decomposition of 1, found once.
+
+        Greedy refinement of {1}: a part e splits into (x, y) when x and y are
+        nonzero with x + y = e and x*y = 0.  Zerosumfreeness makes x and y
+        orthogonal to the other parts, and any maximal refinement is the
+        unique maximal decomposition.  Only idempotents can appear as parts,
+        so only idempotent pairs are scanned.  Meaningful on commutative
+        antirings only; callers check that first.
+        """
+        if self._atoms is None:
+            mul, add, zero = self.mul, self.add, self.zero
+            idem = [x for x in range(self.size) if mul(x, x) == x and x != zero]
+            parts = [self.one]
+            changed = True
+            while changed:
+                changed = False
+                for idx, e in enumerate(parts):
+                    split = next(
+                        ((x, y) for x in idem for y in idem
+                         if add(x, y) == e and mul(x, y) == zero),
+                        None,
+                    )
+                    if split:
+                        parts[idx:idx + 1] = split
+                        changed = True
+                        break
+            self._atoms = tuple(parts)
+        return self._atoms
 
     @property
     def is_entire(self):

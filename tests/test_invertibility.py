@@ -1,17 +1,19 @@
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 
 import antiring as ar
+from antiring import invertibility
 from antiring.errors import (
     DegenerateSemiringError,
     NotInvertibleError,
     UnsupportedOperationError,
 )
 
-from conftest import builtin, random_permutation
+from conftest import builtin, random_nonzero, random_permutation
 
 
 def enumerate_matrices(semiring, n):
@@ -60,22 +62,60 @@ def test_tropical_diagonal_factorization():
     assert ar.invert(a) == ar.Matrix.diagonal(t, [-5, 2])
 
 
+def relabeled(semiring, labels):
+    """An isomorphic table semiring in which carrier element k has index labels[k].
+
+    Returns the table semiring and the payload -> index map.
+    """
+    elems = semiring.elements()
+    index = {v: labels[k] for k, v in enumerate(elems)}
+    size = len(elems)
+    tables = {}
+    for name, op in (("add", semiring.add), ("mul", semiring.mul)):
+        table = [[0] * size for _ in range(size)]
+        for a in elems:
+            for b in elems:
+                table[index[a]][index[b]] = index[op(a, b)]
+        tables[name] = tuple(map(tuple, table))
+    ts = ar.table_semiring(ar.FiniteTables(
+        size=size, add_table=tables["add"], mul_table=tables["mul"],
+        zero_index=index[semiring.zero], one_index=index[semiring.one],
+    ))
+    return ts, index
+
+
+#: A relabeling of powerset(3) that moves both 0 and 1.
+P3_LABELS = (5, 2, 7, 0, 3, 6, 1, 4)
+
+
+def exhaustive_semiring(name):
+    if name == "powerset3":
+        return ar.powerset(3)
+    if name == "relabeled_powerset3":
+        return relabeled(ar.powerset(3), P3_LABELS)[0]
+    return builtin(name)
+
+
 EXHAUSTIVE_CASES = [
     ("boolean", 1),
     ("boolean", 2),
     ("boolean", 3),
     ("chain3", 2),
     ("powerset2", 2),
+    ("powerset3", 2),
+    ("relabeled_powerset3", 2),
 ]
 
 
 @pytest.mark.parametrize("name,n", EXHAUSTIVE_CASES)
 def test_invertibility_iff_inverse_exists_exhaustive(name, n):
-    sr = builtin(name)
+    """The atom test agrees with the A*A^T definition on every matrix."""
+    sr = exhaustive_semiring(name)
     ident = ar.Matrix.identity(sr, n)
     invertible = 0
     for a in enumerate_matrices(sr, n):
         flag = ar.is_invertible(a)
+        assert flag == (ar.invertibility_failure(a) is None), a
         try:
             b = ar.invert(a)
         except NotInvertibleError:
@@ -86,6 +126,7 @@ def test_invertibility_iff_inverse_exists_exhaustive(name, n):
             assert a @ b == ident and b @ a == ident
             fact = ar.factorize_invertible(a)
             assert fact.reconstruct() == a
+            assert ar.gl_decode(ar.gl_encode(a)) == a
     # group order |U(S)|^n * (n!)^k
     k = ar.max_orthogonal_decomposition(sr).length
     units = sum(1 for x in sr.elements() if sr.unit_inverse(x) is not None)
@@ -155,11 +196,18 @@ def test_orthogonal_decomposition_validation():
         ar.OrthogonalDecomposition(p2, [frozenset({1}), frozenset({1, 2})])
     with pytest.raises(ValueError):
         ar.OrthogonalDecomposition(p2, [])
+    # 1 * 1 = 0 in this (non-semiring) table: the part check must still fire
+    null_mul = ar.FiniteTables(
+        size=2, add_table=((0, 1), (1, 1)), mul_table=((0, 0), (0, 0)),
+        zero_index=0, one_index=1,
+    )
+    with pytest.raises(ValueError, match="idempotent"):
+        ar.OrthogonalDecomposition(ar.table_semiring(null_mul), [1])
 
 
 @pytest.mark.parametrize("name,n", EXHAUSTIVE_CASES)
 def test_gl_encode_decode_round_trip(name, n):
-    sr = builtin(name)
+    sr = exhaustive_semiring(name)
     seen = set()
     for a in ar.enumerate_gl(sr, n):
         coords = ar.gl_encode(a)
@@ -264,3 +312,91 @@ def test_boolean_n3_gl_members_are_exactly_permutation_matrices():
     gl = ar.enumerate_gl(b, 3)
     expected = {ar.permutation_matrix(p, b) for p in ar.Permutation.lexicographic(3)}
     assert set(gl) == expected
+
+
+@pytest.mark.parametrize("name,seed", [("tropical", 21), ("naturals", 22)])
+def test_atom_test_agrees_with_definition_monomial(name, seed):
+    """Seeded D * P matrices over infinite entire carriers, each with a near
+    miss: one extra nonzero at a zero position."""
+    sr = builtin(name)
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        units = [rng.randrange(-20, 21) if name == "tropical" else 1 for _ in range(n)]
+        perm = random_permutation(n, rng)
+        a = ar.Matrix.diagonal(sr, units) @ ar.permutation_matrix(perm, sr)
+        assert ar.is_invertible(a) and ar.invertibility_failure(a) is None
+        fact = ar.factorize_invertible(a)
+        assert fact.diag == tuple(units)
+        assert fact.terms == ((sr.one, perm),)
+        assert fact.reconstruct() == a
+        b = ar.invert(a)
+        ident = ar.Matrix.identity(sr, n)
+        assert a @ b == ident and b @ a == ident
+
+        rows = [list(row) for row in a.rows]
+        i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if rows[i][j] == sr.zero])
+        rows[i][j] = random_nonzero(sr, rng)
+        near = ar.Matrix(sr, rows)
+        assert not ar.is_invertible(near)
+        assert ar.invertibility_failure(near) is not None
+        with pytest.raises(NotInvertibleError):
+            ar.factorize_invertible(near)
+
+
+def test_multi_atom_factorization_without_matching_search():
+    """{1}*I + {2}*P over powerset:2, P made of 32 disjoint transpositions.
+
+    The row supports admit 2^32 perfect matchings, so a search over them
+    would not finish; the atom algorithm reads both permutations off.
+    """
+    p2 = ar.powerset(2)
+    n = 64
+    ident = ar.Permutation.identity(n)
+    swap = ar.Permutation(i + 1 if i % 2 else i - 1 for i in range(1, n + 1))
+    rows = [[frozenset()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = frozenset({1})
+        rows[i][swap(i + 1) - 1] = frozenset({2})
+    a = ar.Matrix(p2, rows)
+
+    fact = ar.factorize_invertible(a)
+    assert fact.diag == (p2.one,) * n
+    assert fact.terms == ((frozenset({1}), ident), (frozenset({2}), swap))
+    assert ar.invert(a) == a  # swap is an involution, so a is its own inverse
+    coords = ar.gl_encode(a)
+    assert coords.units == (p2.one,) * n
+    assert coords.perms == (ident, swap)
+    assert ar.gl_decode(coords) == a
+
+
+def test_relabeled_powerset3_factorizes_to_the_image():
+    p3 = ar.powerset(3)
+    ts, index = relabeled(p3, P3_LABELS)
+    assert ts.atoms is ts.atoms  # refined once, then cached on the instance
+    assert ar.max_orthogonal_decomposition(ts).parts == tuple(
+        sorted(index[e] for e in ar.max_orthogonal_decomposition(p3).parts)
+    )
+    rng = random.Random(23)
+    atoms = ar.max_orthogonal_decomposition(p3).parts
+    for n in (1, 3, 5, 8):
+        perms = [random_permutation(n, rng) for _ in atoms]
+        rows = [[p3.zero] * n for _ in range(n)]
+        for e, p in zip(atoms, perms):
+            for i in range(n):
+                rows[i][p(i + 1) - 1] = rows[i][p(i + 1) - 1] | e
+        fa = ar.factorize_invertible(ar.Matrix(p3, rows))
+        ft = ar.factorize_invertible(ar.Matrix(ts, [[index[v] for v in row] for row in rows]))
+        assert ft.diag == tuple(index[d] for d in fa.diag)
+        assert ft.terms == tuple((index[c], p) for c, p in fa.terms)
+
+
+def test_disagreement_with_the_definition_raises(monkeypatch):
+    monkeypatch.setattr(invertibility, "invertibility_failure", lambda matrix: None)
+    with pytest.raises(RuntimeError, match="not D"):
+        ar.factorize_invertible(ar.Matrix(ar.boolean(), [[1, 1], [0, 1]]))
+
+
+def test_invertibility_module_has_no_assert():
+    """Invariants raise explicitly: python -O strips assert statements."""
+    assert "assert " not in pathlib.Path(invertibility.__file__).read_text()
