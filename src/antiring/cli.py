@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (e.g. a non-invertible input to
-``invert``), 2 usage error, 3 budget refusal.  Results go to stdout,
-diagnostics to stderr, and output is deterministic.  ``--format json``
-emits the same data as a single JSON object.
+``invert``, or an input that exhausts the recursion limit or memory), 2 usage
+error, 3 budget refusal.  Results go to stdout, diagnostics to stderr, and
+output is deterministic.  ``--format json`` emits the same data as a single
+JSON object.
 """
 
 import argparse
@@ -302,6 +303,12 @@ def run(argv):
         return CommandOutcome(3, out.getvalue(), err.getvalue() + f"error: {exc}\n")
     except (AntiringError, OSError, ValueError) as exc:
         return CommandOutcome(1, out.getvalue(), err.getvalue() + f"error: {exc}\n")
+    except RecursionError:
+        return CommandOutcome(
+            1, out.getvalue(), err.getvalue() + "error: recursion too deep for this input\n"
+        )
+    except MemoryError:
+        return CommandOutcome(1, out.getvalue(), err.getvalue() + "error: out of memory\n")
 
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"

@@ -17,15 +17,13 @@ from .matrices import Matrix
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Hard cap on the number of enumerated states, and a chunk count for
-    splitting the counter range into independently processed pieces."""
+    """Hard cap on the number of enumerated states."""
 
     max_states: int = 10**8
-    chunking: int = 1
 
     def __post_init__(self):
-        if self.max_states < 1 or self.chunking < 1:
-            raise ValueError("budget needs max_states >= 1 and chunking >= 1")
+        if self.max_states < 1:
+            raise ValueError("budget needs max_states >= 1")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -38,7 +36,7 @@ def _require_finite(semiring):
         )
 
 
-def _state_count(semiring, n, budget):
+def _check_budget(semiring, n, budget):
     total = semiring.size ** (n * n)
     if total > budget.max_states:
         raise BudgetExceededError(
@@ -46,34 +44,13 @@ def _state_count(semiring, n, budget):
             f"over the budget of {budget.max_states}",
             required=total,
         )
-    return total
 
 
-def _chunk_ranges(total, chunks):
-    step = (total + chunks - 1) // chunks
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
-
-
-def _grids(elements, n, start, stop):
-    """Row-major mixed-radix decoding of counter values in [start, stop)."""
-    base = len(elements)
-    cells = n * n
-    digits = [0] * cells
-    value = start
-    for pos in range(cells - 1, -1, -1):
-        value, digits[pos] = divmod(value, base)
-    for counter in range(start, stop):
-        yield tuple(
-            tuple(elements[digits[r * n + c]] for c in range(n)) for r in range(n)
-        )
-        pos = cells - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < base:
-                break
-            digits[pos] = 0
-            pos -= 1
+def _grids(elements, n):
+    """Every n x n grid over the elements, in row-major mixed-radix counter
+    order: the last entry varies fastest."""
+    for flat in itertools.product(elements, repeat=n * n):
+        yield tuple(flat[r * n:(r + 1) * n] for r in range(n))
 
 
 def _grid_mul(add, mul, zero, a, b, n):
@@ -124,17 +101,13 @@ def _grid_power_is_zero(add, mul, zero, grid, n, e):
 def count_nilpotent_bruteforce(semiring, n, budget=DEFAULT_BUDGET):
     """Count matrices with A^n = 0 by scanning the whole matrix space."""
     _require_finite(semiring)
-    total = _state_count(semiring, n, budget)
-    elements = semiring.elements()
+    _check_budget(semiring, n, budget)
     add, mul, zero = semiring.add, semiring.mul, semiring.zero
-    count = 0
-    for start, stop in _chunk_ranges(total, budget.chunking):
-        part = 0
-        for grid in _grids(elements, n, start, stop):
-            if _grid_power_is_zero(add, mul, zero, grid, n, n):
-                part += 1
-        count += part
-    return count
+    return sum(
+        1
+        for grid in _grids(semiring.elements(), n)
+        if _grid_power_is_zero(add, mul, zero, grid, n, n)
+    )
 
 
 def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
@@ -145,16 +118,12 @@ def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
     """
     _require_finite(semiring)
     semiring.ensure_nondegenerate()
-    total = _state_count(semiring, n, budget)
-    elements = semiring.elements()
+    _check_budget(semiring, n, budget)
     found = []
-    for start, stop in _chunk_ranges(total, budget.chunking):
-        part = []
-        for grid in _grids(elements, n, start, stop):
-            m = Matrix._make(semiring, grid)
-            if invertibility_failure(m) is None:
-                part.append(m)
-        found.extend(part)
+    for grid in _grids(semiring.elements(), n):
+        m = Matrix._make(semiring, grid)
+        if invertibility_failure(m) is None:
+            found.append(m)
     return found
 
 

@@ -256,11 +256,8 @@ def conjugate_by_permutation(matrix, perm):
     """
     if matrix.n != perm.n:
         raise ValueError(f"dimension mismatch: matrix {matrix.n} vs permutation {perm.n}")
-    inv = perm.inverse()
-    rows = tuple(
-        tuple(matrix.rows[inv(i) - 1][inv(j) - 1] for j in range(1, matrix.n + 1))
-        for i in range(1, matrix.n + 1)
-    )
+    src = [k - 1 for k in perm.inverse().images]  # 0-based perm^-1
+    rows = tuple(tuple(row[k] for k in src) for row in (matrix.rows[k] for k in src))
     return Matrix._make(matrix.semiring, rows)
 
 

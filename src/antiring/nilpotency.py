@@ -1,14 +1,22 @@
 """Nilpotency via digraphs: zero patterns, acyclicity, longest paths,
 nilpotency index, and triangularization by vertex reordering.
 
-The digraph of a matrix keeps only the nonzero pattern.  Over entire
-semirings this pattern determines nilpotency (acyclic iff nilpotent); over
-non-entire antirings it does not, so the definitive test here is always the
-matrix power A^n = 0.  That bound is complete whenever the semiring is
-zerosumfree with no nonzero nilpotent elements: a nonzero A^n would contain a
-length-n walk with nonzero entry product, the walk repeats a vertex, the
-cycle's product c has every power nonzero, and zerosumfreeness keeps every
-power of A nonzero from then on.
+The digraph of a matrix keeps only its nonzero pattern.  Over an entire
+commutative antiring that pattern decides nilpotency: a walk's entry product
+is nonzero because there are no zero divisors, and a sum of nonzero products
+stays nonzero because the semiring is zerosumfree, so A^h(i, j) != 0 exactly
+when the digraph has a walk of length h from i to j.  Hence A is nilpotent
+iff its digraph is acyclic, and its index is the longest path + 1.  Those are
+the algorithms here: O(n^2) to read the support, then O(n + e) for the
+topological order and the longest path.
+
+Over non-entire antirings the pattern does not decide (a 2-cycle whose two
+entries multiply to zero is nilpotent), so the matrix powers do.  The power
+test A^n = 0 is complete whenever the semiring is zerosumfree with no nonzero
+nilpotent elements: a nonzero A^n would contain a length-n walk with nonzero
+entry product, the walk repeats a vertex, the cycle's product c has every
+power nonzero, and zerosumfreeness keeps every power of A nonzero from then
+on.
 """
 
 import heapq
@@ -112,30 +120,47 @@ def longest_path(g):
 def is_nilpotent(matrix):
     """True iff A^n = 0 (n the dimension).
 
-    Requires a commutative antiring without nonzero nilpotent elements; for
-    those the power test is complete (see the module docstring).  Over entire
-    semirings the result is cross-checked against acyclicity of the digraph
-    in debug runs.
+    Requires a commutative antiring without nonzero nilpotent elements.  Over
+    entire semirings this is acyclicity of the digraph; elsewhere it is the
+    power test itself (see the module docstring).
     """
     sr = matrix.semiring
     sr.ensure_antiring()
     sr.ensure_nilpotent_free()
-    result = (matrix ** matrix.n).is_zero()
     if sr.is_entire:
-        assert result == is_acyclic(digraph_of(matrix)), "acyclicity criterion violated"
-    return result
+        return is_acyclic(digraph_of(matrix))
+    return (matrix ** matrix.n).is_zero()
 
 
 def nilpotency_index(matrix):
-    """The least h >= 1 with A^h = 0."""
-    if not is_nilpotent(matrix):
-        raise NotNilpotentError("matrix is not nilpotent")
-    power = matrix
-    h = 1
-    while not power.is_zero():
-        power = power @ matrix
-        h += 1
-    return h
+    """The least h >= 1 with A^h = 0.
+
+    Over entire semirings this is the longest path of the digraph + 1.
+    Elsewhere the squares A, A^2, A^4, ... are taken until one vanishes, and h
+    is located below it by binary lifting: at most 2*ceil(log2 h) matmuls, and
+    ceil(log2 n) to refuse a matrix whose powers never vanish.
+    """
+    sr = matrix.semiring
+    sr.ensure_antiring()
+    sr.ensure_nilpotent_free()
+    if sr.is_entire:
+        try:
+            return longest_path(digraph_of(matrix)) + 1
+        except CyclicDigraphError:
+            raise NotNilpotentError("matrix is not nilpotent") from None
+    squares = [matrix]  # squares[k] = A^(2^k)
+    while not squares[-1].is_zero():
+        if 1 << (len(squares) - 1) >= matrix.n:
+            # A^m != 0 for some m >= n, so A^n != 0
+            raise NotNilpotentError("matrix is not nilpotent")
+        squares.append(squares[-1] @ squares[-1])
+    # the exponents e with A^e != 0 form a prefix 0..h-1: find its end
+    power, e = None, 0  # power = A^e, None standing for the identity
+    for k in range(len(squares) - 2, -1, -1):
+        candidate = squares[k] if power is None else power @ squares[k]
+        if not candidate.is_zero():
+            power, e = candidate, e + (1 << k)
+    return e + 1
 
 
 def triangularize(matrix):
@@ -143,28 +168,18 @@ def triangularize(matrix):
 
     Returns (B, p) with B = conjugate_by_permutation(A, p) strictly upper
     triangular; p maps each vertex to its position in the topological order
-    of D(A).  Only guaranteed over entire semirings, where nilpotent matrices
-    have acyclic digraphs.
+    of D(A).  Only defined over entire semirings, where nilpotent matrices
+    are exactly those with acyclic digraphs.
     """
     sr = matrix.semiring
     if not sr.is_entire:
         raise PreconditionError(
             f"triangularize needs an entire semiring; {sr.descriptor()} has zero divisors"
         )
-    if not is_nilpotent(matrix):
-        raise NotNilpotentError("matrix is not nilpotent")
+    sr.ensure_antiring()
+    sr.ensure_nilpotent_free()
     order = topological_order(digraph_of(matrix))
-    assert order is not None  # entire + nilpotent implies acyclic
+    if order is None:
+        raise NotNilpotentError("matrix is not nilpotent")
     p = order.inverse()
     return conjugate_by_permutation(matrix, p), p
-
-
-def is_strictly_upper(matrix):
-    """True when every entry on or below the diagonal is zero."""
-    z = matrix.semiring.zero
-    return all(
-        v == z
-        for i, row in enumerate(matrix.rows)
-        for j, v in enumerate(row)
-        if j <= i
-    )

@@ -1,20 +1,31 @@
 """Square-zero decompositions through arc colorings.
 
-A matrix B squares to zero exactly when its digraph has no path of length 2,
-so splitting a matrix along the classes of a path-incidence-free edge
-coloring (no vertex carries a same-colored in-edge and out-edge) yields
-square-zero summands.  Two explicit colorings do the work: a binary-label
-coloring of the transitive tournament with ceil(log2 n) colors for nilpotent
-matrices, and a subset-based coloring of the complete digraph for trace-zero
-matrices.  An exhaustive backtracking search certifies the sharpness of both
-color counts.
+A matrix B squares to zero whenever its digraph has no path of length 2, that
+is, no index is both a row and a column of its support.  So splitting a
+matrix along the classes of a path-incidence-free edge coloring (no vertex
+carries a same-colored in-edge and out-edge) yields square-zero summands.
+Both colorings used here are closed-form in the endpoints of an edge, so a
+decomposition colors only the support: O(n^2) to read it, then O(n + e) to
+color and bucket it, with no matrix product.
+
+* Nilpotent matrices over entire antirings: with pos(i) the 0-based position
+  of vertex i in a topological order of the digraph, edge (i, j) gets the
+  highest bit where pos(i) and pos(j) differ, at most ceil(log2 n) colors.
+* Trace-zero matrices over any antiring: vertex i gets the i-th
+  ceil(N/2)-subset S_i of {1..N} in lexicographic order, and edge (i, j)
+  gets min(S_i - S_j), at most N = tracezero_capacity(n) colors.
+
+``tournament_coloring`` and ``complete_digraph_coloring`` apply the same two
+formulas to every edge of the transitive tournament and of the complete
+digraph, and an exhaustive backtracking search certifies the sharpness of
+both color counts.
 """
 
 import itertools
 import math
 
 from .errors import BudgetExceededError, NotNilpotentError, PreconditionError
-from .matrices import Matrix, conjugate_by_permutation
+from .matrices import Matrix
 from .nilpotency import complete_digraph, is_nilpotent, transitive_tournament, triangularize
 
 
@@ -61,16 +72,23 @@ class EdgeColoring:
         return f"EdgeColoring({self.num_colors} colors, {len(self.colors)} edges)"
 
 
+def _binary_color(a, b):
+    """The color of an edge between the 0-based labels a < b: the position of
+    the most significant bit where they differ.
+
+    Along that bit the tail reads 0 and the head reads 1, so no vertex can
+    carry a same-colored in-edge and out-edge.
+    """
+    return (a ^ b).bit_length()
+
+
 def tournament_coloring(n):
     """Color the transitive tournament with exactly ceil(log2 n) colors.
 
-    Writing the vertex labels i-1 and j-1 in binary, edge (i, j) gets the
-    position of the most significant bit where they differ.  Along that bit
-    the tail reads 0 and the head reads 1, so no vertex can carry a
-    same-colored in-edge and out-edge.
+    Edge (i, j) gets ``_binary_color(i - 1, j - 1)``.
     """
     g = transitive_tournament(n)
-    colors = {(i, j): ((i - 1) ^ (j - 1)).bit_length() for (i, j) in g.edges}
+    colors = {(i, j): _binary_color(i - 1, j - 1) for (i, j) in g.edges}
     return EdgeColoring(g, colors, (n - 1).bit_length())
 
 
@@ -99,20 +117,34 @@ def tracezero_max_dimension(k):
     return math.comb(k, (k + 1) // 2)
 
 
+def _subset_labels(n):
+    """(N, [S_1, ..., S_n]): the first n ceil(N/2)-subsets of {1..N} in
+    lexicographic order, for N = tracezero_capacity(n)."""
+    big_n = tracezero_capacity(n)
+    subsets = itertools.combinations(range(1, big_n + 1), (big_n + 1) // 2)
+    return big_n, [frozenset(s) for s in itertools.islice(subsets, n)]
+
+
+def _subset_color(s, t):
+    """The color of an edge from the vertex labeled S to the one labeled T:
+    the smallest element of S - T.
+
+    S - T is nonempty since the labels are distinct and equal-sized.  A
+    shared color c on consecutive edges (i, j), (j, k) would need both c not
+    in S_j and c in S_j.
+    """
+    return min(s - t)
+
+
 def complete_digraph_coloring(n):
     """Color the complete digraph with N = tracezero_capacity(n) colors.
 
-    Vertex i receives the i-th ceil(N/2)-subset S_i of {1..N} in
-    lexicographic order; edge (i, j) gets the smallest element of S_i - S_j
-    (nonempty since the subsets are distinct and equal-sized).  A shared
-    color c on consecutive edges (i, j), (j, k) would need both c not in S_j
-    and c in S_j.
+    With ``_subset_labels(n)`` as vertex labels, edge (i, j) gets
+    ``_subset_color(S_i, S_j)``.
     """
     g = complete_digraph(n)
-    big_n = tracezero_capacity(n)
-    subsets = list(itertools.combinations(range(1, big_n + 1), (big_n + 1) // 2))[:n]
-    sets = [frozenset(s) for s in subsets]
-    colors = {(i, j): min(sets[i - 1] - sets[j - 1]) for (i, j) in g.edges}
+    big_n, sets = _subset_labels(n)
+    colors = {(i, j): _subset_color(sets[i - 1], sets[j - 1]) for (i, j) in g.edges}
     return EdgeColoring(g, colors, big_n)
 
 
@@ -164,18 +196,38 @@ def min_coloring_search(g, num_colors, max_states=10**8):
 
 
 class SquareZeroDecomposition:
-    """Matrices B_1..B_r with each B_i^2 = 0 and sum(B_i) equal to the source."""
+    """Matrices B_1..B_r with each B_i^2 = 0 and sum(B_i) equal to the source.
+
+    Each summand must match the source's semiring and dimension.  A summand
+    passes the square-zero check by structure when no index is both a row and
+    a column of its support; only otherwise is B_i @ B_i computed, which
+    accepts summands that square to zero through zero divisors.  The sum is
+    checked entrywise in one pass over the summands' nonzero entries.
+    """
 
     __slots__ = ("source", "summands")
 
     def __init__(self, source, summands):
         summands = tuple(summands)
-        total = Matrix.zeros(source.semiring, source.n)
+        sr = source.semiring
+        add, z, n = sr.add, sr.zero, source.n
+        zero_row = (z,) * n
+        total = [[z] * n for _ in range(n)]
         for b in summands:
-            if not (b @ b).is_zero():
+            source._same_shape(b)
+            rows, cols = set(), set()
+            for i, row in enumerate(b.rows):
+                if row == zero_row:
+                    continue
+                out = total[i]
+                for j, v in enumerate(row):
+                    if v != z:
+                        rows.add(i)
+                        cols.add(j)
+                        out[j] = v if out[j] == z else add(out[j], v)
+            if not rows.isdisjoint(cols) and not (b @ b).is_zero():
                 raise ValueError("summand does not square to zero")
-            total = total + b
-        if total != source:
+        if tuple(map(tuple, total)) != source.rows:
             raise ValueError("summands do not sum to the source matrix")
         self.source = source
         self.summands = summands
@@ -190,42 +242,46 @@ class SquareZeroDecomposition:
         return f"SquareZeroDecomposition({len(self.summands)} summands, n={self.source.n})"
 
 
-def _restrict_to_edges(matrix, edges):
-    """A copy keeping only the entries at the given 1-based positions."""
+def _split_by_color(matrix, color):
+    """The support of the matrix bucketed by color(i, j) (0-based indices):
+    one summand per color that occurs, in ascending color order."""
     z = matrix.semiring.zero
-    rows = tuple(
-        tuple(
-            v if (i + 1, j + 1) in edges else z
-            for j, v in enumerate(row)
-        )
-        for i, row in enumerate(matrix.rows)
-    )
-    return Matrix._make(matrix.semiring, rows)
+    n = matrix.n
+    buckets = {}
+    for i, row in enumerate(matrix.rows):
+        for j, v in enumerate(row):
+            if v != z:
+                buckets.setdefault(color(i, j), []).append((i, j, v))
+    zero_row = (z,) * n
+    summands = []
+    for c in sorted(buckets):
+        rows = {}
+        for i, j, v in buckets[c]:
+            rows.setdefault(i, [z] * n)[j] = v
+        summands.append(Matrix._make(
+            matrix.semiring,
+            tuple(tuple(rows[i]) if i in rows else zero_row for i in range(n)),
+        ))
+    return summands
 
 
 def decompose_nilpotent(matrix):
     """Split a nilpotent matrix into at most ceil(log2 n) square-zero summands.
 
-    The matrix is triangularized, split along the tournament coloring's
-    classes, and conjugated back; classes with empty support are dropped.
-    Inside one class no two edges are consecutive, so every term of a
-    squared summand has a zero factor: square-zeroness needs no entireness,
-    only the triangularization step does.
+    Edge (i, j) of the support gets ``_binary_color(pos(i), pos(j))``, with
+    pos the 0-based topological position that ``triangularize`` computes;
+    every edge runs forward in that order, so this is the tournament coloring
+    read in the original labels.  Inside one class no two edges are
+    consecutive, so every term of a squared summand has a zero factor:
+    square-zeroness needs no entireness, only the topological order does.
     """
-    n = matrix.n
-    if n == 1:
+    if matrix.n == 1:
         if not is_nilpotent(matrix):
             raise NotNilpotentError("matrix is not nilpotent")
         return SquareZeroDecomposition(matrix, ())
-    upper, p = triangularize(matrix)
-    pinv = p.inverse()
-    coloring = tournament_coloring(n)
-    support = upper.support()
-    summands = []
-    for _, edges in sorted(coloring.color_classes().items()):
-        piece = _restrict_to_edges(upper, edges & support)
-        if not piece.is_zero():
-            summands.append(conjugate_by_permutation(piece, pinv))
+    _, p = triangularize(matrix)
+    pos = [k - 1 for k in p.images]
+    summands = _split_by_color(matrix, lambda i, j: _binary_color(pos[i], pos[j]))
     return SquareZeroDecomposition(matrix, summands)
 
 
@@ -233,7 +289,7 @@ def decompose_trace_zero(matrix):
     """Split a trace-zero matrix into at most tracezero_capacity(n) square-zero
     summands, with no entireness assumption.
 
-    Works directly along the complete-digraph coloring classes; a nonzero
+    Edge (i, j) of the support gets ``_subset_color(S_i, S_j)``.  A nonzero
     diagonal entry is rejected (its digraph has a loop, so the matrix is not
     a sum of nilpotent matrices at all).
     """
@@ -247,13 +303,6 @@ def decompose_trace_zero(matrix):
                 f"diagonal entry A({i},{i}) = {sr.format_element(v)} is nonzero; "
                 f"only trace-zero matrices decompose into square-zero summands"
             )
-    if matrix.n == 1:
-        return SquareZeroDecomposition(matrix, ())
-    coloring = complete_digraph_coloring(matrix.n)
-    support = matrix.support()
-    summands = []
-    for _, edges in sorted(coloring.color_classes().items()):
-        piece = _restrict_to_edges(matrix, edges & support)
-        if not piece.is_zero():
-            summands.append(piece)
+    _, sets = _subset_labels(matrix.n)
+    summands = _split_by_color(matrix, lambda i, j: _subset_color(sets[i], sets[j]))
     return SquareZeroDecomposition(matrix, summands)

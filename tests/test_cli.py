@@ -187,6 +187,14 @@ def test_missing_file_is_domain_error():
     assert out.stdout == ""
 
 
+def test_exhausted_recursion_is_a_domain_error():
+    # the counting recurrence still recurses once per dimension
+    out = run(["poly", "-n", "600"])
+    assert out.exit_code == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+
+
 def test_help_exits_zero():
     out = run(["--help"])
     assert out.exit_code == 0

@@ -71,16 +71,6 @@ def test_orth_decomp_search_carrier_cap():
         ar.orth_decomp_search(ar.tropical())
 
 
-def test_chunking_independence():
-    base = ar.count_nilpotent_bruteforce(ar.chain(3), 2)
-    for chunks in (2, 3, 7, 50, 81, 200):
-        budget = ar.EnumerationBudget(chunking=chunks)
-        assert ar.count_nilpotent_bruteforce(ar.chain(3), 2, budget=budget) == base
-    gl_base = ar.enumerate_gl(ar.powerset(2), 2)
-    gl_chunked = ar.enumerate_gl(ar.powerset(2), 2, budget=ar.EnumerationBudget(chunking=13))
-    assert gl_base == gl_chunked
-
-
 def test_budget_refusal_is_upfront():
     budget = ar.EnumerationBudget(max_states=100)
     with pytest.raises(BudgetExceededError) as exc:
@@ -100,5 +90,3 @@ def test_infinite_carriers_refused():
 def test_budget_validation():
     with pytest.raises(ValueError):
         ar.EnumerationBudget(max_states=0)
-    with pytest.raises(ValueError):
-        ar.EnumerationBudget(chunking=0)

@@ -1,12 +1,21 @@
 import itertools
+import pathlib
 import random
 
 import pytest
 
 import antiring as ar
+from antiring import nilpotency, squarezero
 from antiring.errors import CyclicDigraphError, NotNilpotentError, PreconditionError
 
-from conftest import BUILTINS, all_boolean_matrices, builtin, random_matrix, random_nilpotent
+from conftest import (
+    BUILTINS,
+    all_boolean_matrices,
+    builtin,
+    random_matrix,
+    random_nilpotent,
+    random_nonzero,
+)
 
 # a commutative antiring {0 < x < 1} under join, with x*x = 0: the smallest
 # carrier with a nonzero nilpotent element
@@ -17,6 +26,11 @@ NILPOTENT_ELEMENT_TABLES = ar.FiniteTables(
     zero_index=0,
     one_index=2,
 )
+
+
+def strictly_upper(matrix):
+    z = matrix.semiring.zero
+    return all(matrix.entry(i, j) == z for i in range(1, matrix.n + 1) for j in range(1, i + 1))
 
 
 def test_digraph_of_examples():
@@ -94,14 +108,10 @@ def test_triangularize_examples():
     # topological order (3,1,2); p sends each vertex to its position
     assert p.inverse().images == (3, 1, 2)
     assert out == ar.conjugate_by_permutation(a, p)
-    from antiring.nilpotency import is_strictly_upper
-
-    assert is_strictly_upper(out)
+    assert strictly_upper(out)
 
 
 def test_triangularize_random_entire():
-    from antiring.nilpotency import is_strictly_upper
-
     rng = random.Random(12)
     for name in ("boolean", "chain3", "tropical", "naturals"):
         sr = builtin(name)
@@ -109,7 +119,7 @@ def test_triangularize_random_entire():
             n = rng.randint(1, 6)
             a = random_nilpotent(sr, n, rng)
             out, p = ar.triangularize(a)
-            assert is_strictly_upper(out)
+            assert strictly_upper(out)
             assert out == ar.conjugate_by_permutation(a, p)
 
 
@@ -188,3 +198,81 @@ def test_digraph_validation():
         ar.Digraph(2, {(1, 3)})
     with pytest.raises(ValueError):
         ar.Digraph(0, set())
+
+
+def definitional_index(a):
+    """The least h with A^h = 0 by multiplying out the powers, or None when
+    A^n != 0."""
+    power = a
+    for h in range(1, a.n + 1):
+        if power.is_zero():
+            return h
+        power = power @ a
+    return None
+
+
+def test_structural_answers_match_the_power_definition():
+    # the entire-case answers come from the digraph; the oracle multiplies
+    rng = random.Random(19)
+    for name in ("boolean", "chain3", "tropical", "naturals"):
+        sr = builtin(name)
+        for trial in range(40):
+            n = rng.randint(1, 12)
+            a = random_nilpotent(sr, n, rng, density=rng.choice((0.2, 0.5, 0.9)))
+            if trial % 2:
+                # close a cycle (possibly a loop) through one random entry
+                rows = [list(row) for row in a.rows]
+                rows[rng.randrange(n)][rng.randrange(n)] = random_nonzero(sr, rng)
+                a = ar.Matrix(sr, rows)
+            nilpotent = (a**n).is_zero()
+            assert ar.is_nilpotent(a) == nilpotent
+            if not nilpotent:
+                with pytest.raises(NotNilpotentError):
+                    ar.nilpotency_index(a)
+                with pytest.raises(NotNilpotentError):
+                    ar.triangularize(a)
+                continue
+            h = ar.nilpotency_index(a)
+            assert (a**h).is_zero() and not (a ** (h - 1)).is_zero()
+            out, p = ar.triangularize(a)
+            assert strictly_upper(out)
+            assert out.rows == tuple(
+                tuple(a.entry(p.inverse()(i), p.inverse()(j)) for j in range(1, n + 1))
+                for i in range(1, n + 1)
+            )
+
+
+def test_power_index_over_non_entire_carrier():
+    p2 = ar.powerset(2)
+    # nilpotent although its digraph has a cycle: {1} * {2} = {}
+    m = ar.Matrix(p2, [[set(), {1}], [{2}, set()]])
+    assert ar.is_nilpotent(m) and ar.nilpotency_index(m) == 2
+    cyclic = ar.Matrix(p2, [[set(), {1}], [{1, 2}, set()]])
+    assert not ar.is_nilpotent(cyclic)
+    with pytest.raises(NotNilpotentError):
+        ar.nilpotency_index(cyclic)
+    rng = random.Random(20)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        a = random_matrix(p2, n, rng)
+        if trial % 3:
+            # keep atom t on (i, j) only when i precedes j in a random order
+            # of its own: both projections acyclic, the digraph usually not
+            ranks = [rng.sample(range(n), n) for _ in (1, 2)]
+            a = ar.Matrix(p2, [
+                [{t for t in v if ranks[t - 1][i] < ranks[t - 1][j]} for j, v in enumerate(row)]
+                for i, row in enumerate(a.rows)
+            ])
+        expected = definitional_index(a)
+        assert ar.is_nilpotent(a) == (expected is not None)
+        if expected is None:
+            with pytest.raises(NotNilpotentError):
+                ar.nilpotency_index(a)
+        else:
+            assert ar.nilpotency_index(a) == expected
+
+
+def test_nilpotency_modules_have_no_assert():
+    """Invariants raise explicitly: python -O strips assert statements."""
+    for module in (nilpotency, squarezero):
+        assert "assert " not in pathlib.Path(module.__file__).read_text()

@@ -5,7 +5,7 @@ import pytest
 import antiring as ar
 from antiring.errors import BudgetExceededError, PreconditionError
 
-from conftest import all_boolean_matrices, builtin, random_nilpotent, random_nonzero
+from conftest import all_boolean_matrices, builtin, random_matrix, random_nilpotent, random_nonzero
 
 
 def check_path_incidence_free(coloring):
@@ -276,5 +276,65 @@ def test_square_zero_decomposition_validation():
         ar.SquareZeroDecomposition(a, [not_square_zero])
     with pytest.raises(ValueError, match="sum"):
         ar.SquareZeroDecomposition(a, [])
+    with pytest.raises(ValueError, match="sum"):
+        ar.SquareZeroDecomposition(a, [ar.Matrix(b, [[0, 0], [1, 0]])])
+    with pytest.raises(ValueError, match="semiring mismatch"):
+        ar.SquareZeroDecomposition(a, [ar.Matrix(ar.chain(3), [[0, 2], [0, 0]])])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ar.SquareZeroDecomposition(a, [ar.Matrix.zeros(b, 3)])
     ok = ar.SquareZeroDecomposition(a, [a])
     assert list(ok) == [a]
+    assert len(ar.SquareZeroDecomposition(a, [a, a])) == 2  # 1 + 1 = 1
+    s = ar.naturals()
+    parts = [ar.Matrix(s, [[0, k], [0, 0]]) for k in (1, 2)]
+    assert len(ar.SquareZeroDecomposition(ar.Matrix(s, [[0, 3], [0, 0]]), parts)) == 2
+    with pytest.raises(ValueError, match="sum"):
+        ar.SquareZeroDecomposition(ar.Matrix(s, [[0, 2], [0, 0]]), parts)
+
+    # over powerset:2 a 2-cycle squares to zero through zero divisors
+    p2 = ar.powerset(2)
+    m = ar.Matrix(p2, [[set(), {1}], [{2}, set()]])
+    assert len(ar.SquareZeroDecomposition(m, [m])) == 1
+    cyclic = ar.Matrix(p2, [[set(), {1}], [{1}, set()]])
+    with pytest.raises(ValueError, match="square"):
+        ar.SquareZeroDecomposition(cyclic, [cyclic])
+
+
+def _full_coloring_split(matrix, coloring):
+    """The construction the decompositions used before they colored only the
+    support: restrict to each class of the full coloring, drop empty pieces."""
+    z = matrix.semiring.zero
+    pieces = []
+    for _, edges in sorted(coloring.color_classes().items()):
+        rows = [
+            [v if (i, j) in edges else z for j, v in enumerate(row, start=1)]
+            for i, row in enumerate(matrix.rows, start=1)
+        ]
+        piece = ar.Matrix(matrix.semiring, rows)
+        if not piece.is_zero():
+            pieces.append(piece)
+    return pieces
+
+
+def test_decompositions_equal_the_full_coloring_construction():
+    rng = random.Random(21)
+    for name in ("boolean", "chain3", "tropical", "naturals", "powerset2"):
+        sr = builtin(name)
+        for _ in range(15):
+            n = rng.randint(2, 12)
+            t = random_matrix(sr, n, rng)
+            t = ar.Matrix(sr, [
+                [sr.zero if i == j else v for j, v in enumerate(row)]
+                for i, row in enumerate(t.rows)
+            ])
+            dec = ar.decompose_trace_zero(t)
+            assert list(dec) == _full_coloring_split(t, ar.complete_digraph_coloring(n))
+            if not sr.is_entire:
+                continue
+            a = random_nilpotent(sr, n, rng, density=rng.choice((0.1, 0.5, 0.9)))
+            upper, p = ar.triangularize(a)
+            expected = [
+                ar.conjugate_by_permutation(piece, p.inverse())
+                for piece in _full_coloring_split(upper, ar.tournament_coloring(n))
+            ]
+            assert list(ar.decompose_nilpotent(a)) == expected
