@@ -10,6 +10,7 @@ and symbolic-infinity payloads, no floats besides the infinity sentinel.
 """
 
 from .dag_counting import (
+    MAX_COUNT_N,
     IntPolynomial,
     Partition,
     acyclic_polynomial,

@@ -4,13 +4,27 @@ Over an entire antiring with q elements, a nilpotent matrix is exactly a
 labeled acyclic digraph pattern with each of its r edges weighted by one of
 the q-1 nonzero values.  So the count is A_n(q-1), where A_n(x) is the
 generating polynomial of labeled acyclic digraphs on n vertices by edge
-count.  A_n is computed two independent ways, by the inclusion-exclusion
-recurrence over source sets
+count (A_n(1) is OEIS A003024: 1, 1, 3, 25, 543, ...; Robinson 1973,
+Stanley 1973).
 
-    A_n(x) = sum_{m=1..n} (-1)^(m-1) C(n,m) (1+x)^(m(n-m)) A_{n-m}(x)
+The fast path works in the q-basis.  Substituting x = q-1 into the
+inclusion-exclusion recurrence over source sets gives, for B_n(q) = A_n(q-1),
 
-and by the closed sum over ordered sequences of block sizes; the two routes
-are cross-checked in the tests (A_n(1) is OEIS A003024: 1, 1, 3, 25, 543, ...).
+    B_n(q) = sum_{m=1..n} (-1)^(m-1) C(n,m) q^(m(n-m)) B_{n-m}(q),   B_0 = 1,
+
+in which multiplying by q^e is an offset into the coefficient list.  The rows
+B_0, B_1, ... live in one module-level table grown bottom-up on demand, so
+nothing recurses.  ``nilpotent_count_polynomial`` returns a row,
+``count_nilpotent`` evaluates it and ``acyclic_polynomial`` Taylor-shifts it
+back to the x-basis.  Row n has C(n,2)+1 coefficients and a count at q has
+about C(n,2) log2(q) bits, so n above MAX_COUNT_N is refused with
+BudgetExceededError before the table grows (at the cap a cold build takes
+under a second and the table holds about 9 MB).
+
+The closed sum over ordered sequences of block sizes is kept as an
+independent oracle that shares no code with the table: it groups the signed
+multinomial coefficients of the partitions by their exponent of (1+x) and
+expands the result by Horner's rule in (1+x).
 
 Published tables of these polynomials are not all reliable: the 4-vertex
 polynomial has constant term -1 (the count 543 at q = 2 pins it down), and
@@ -18,10 +32,15 @@ printed 6-vertex rows circulate with wrong signs.  The recurrence plus
 brute-force enumeration are the ground truth here.
 """
 
-import functools
 import math
+import threading
 
 from dataclasses import dataclass
+
+from .errors import BudgetExceededError
+
+#: Largest dimension the counting functions accept.
+MAX_COUNT_N = 100
 
 
 class IntPolynomial:
@@ -39,11 +58,6 @@ class IntPolynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def one_plus_x_power(cls, e):
-        """(1 + x)^e via binomial coefficients."""
-        return cls(math.comb(e, i) for i in range(e + 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -60,18 +74,6 @@ class IntPolynomial:
             out[i] += v
         return IntPolynomial(out)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(other * c for c in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
     def evaluate(self, v):
         acc = 0
         for c in reversed(self.coeffs):
@@ -79,15 +81,12 @@ class IntPolynomial:
         return acc
 
     def shift(self, c):
-        """The polynomial p(x + c), exactly."""
-        out = [0] * len(self.coeffs)
-        for r, a in enumerate(self.coeffs):
-            if a:
-                power = 1
-                for j in range(r, -1, -1):
-                    out[j] += a * math.comb(r, j) * power
-                    power *= c
-        return IntPolynomial(out)
+        """The polynomial p(x + c), exactly, by repeated synthetic division."""
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return IntPolynomial(a)
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -149,19 +148,36 @@ def partitions(n):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def acyclic_polynomial(n):
-    """A_n(x) by the source-set recurrence; A_0 = 1."""
+# B_k(q) = A_k(q-1) for k = 0 .. len - 1; only ever appended to, under the lock.
+_q_rows = [IntPolynomial([1])]
+_q_rows_lock = threading.Lock()
+
+
+def _q_row(n):
+    """B_n(q) from the table, growing it bottom-up to row n first."""
     if n < 0:
         raise ValueError("vertex count must be >= 0")
-    if n == 0:
-        return IntPolynomial([1])
-    total = IntPolynomial()
-    for m in range(1, n + 1):
-        sign = 1 if m % 2 == 1 else -1
-        term = IntPolynomial.one_plus_x_power(m * (n - m)) * acyclic_polynomial(n - m)
-        total = total + term * (sign * math.comb(n, m))
-    return total
+    if n > MAX_COUNT_N:
+        raise BudgetExceededError(
+            f"n = {n} is over the counting cap of n <= {MAX_COUNT_N}", required=n
+        )
+    with _q_rows_lock:
+        for k in range(len(_q_rows), n + 1):
+            row = [0] * (k * (k - 1) // 2 + 1)
+            binom = 1
+            for m in range(1, k + 1):
+                binom = binom * (k - m + 1) // m
+                c = binom if m % 2 == 1 else -binom
+                offset = m * (k - m)
+                for i, b in enumerate(_q_rows[k - m].coeffs, offset):
+                    row[i] += c * b
+            _q_rows.append(IntPolynomial(row))
+    return _q_rows[n]
+
+
+def acyclic_polynomial(n):
+    """A_n(x), the q-basis row shifted back by x = q - 1; A_0 = 1."""
+    return _q_row(n).shift(1)
 
 
 def acyclic_polynomial_partition_form(n):
@@ -169,24 +185,31 @@ def acyclic_polynomial_partition_form(n):
 
     The sum runs over ordered sequences of positive block sizes; iterating
     unordered partitions therefore weights each by its number of distinct
-    orderings.
+    orderings.  Terms are grouped by their exponent e of (1+x), and
+    sum_e c_e (1+x)^e is expanded by Horner's rule in (1+x).
     """
     if n < 0:
         raise ValueError("vertex count must be >= 0")
-    total = IntPolynomial()
+    by_exponent = {}
     for mu in partitions(n):
         k = len(mu.parts)
         coeff = (1 if (n - k) % 2 == 0 else -1) * math.factorial(n) * mu.orderings()
         for p in mu.parts:
             coeff //= math.factorial(p)
         exponent = (n * n - sum(p * p for p in mu.parts)) // 2
-        total = total + IntPolynomial.one_plus_x_power(exponent) * coeff
-    return total
+        by_exponent[exponent] = by_exponent.get(exponent, 0) + coeff
+    top = max(by_exponent)
+    acc = [by_exponent[top]]
+    for e in range(top - 1, -1, -1):
+        # acc <- acc * (1 + x) + c_e
+        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += by_exponent.get(e, 0)
+    return IntPolynomial(acc)
 
 
 def nilpotent_count_polynomial(n):
-    """A_n(q-1) as a polynomial in q (exact binomial expansion)."""
-    return acyclic_polynomial(n).shift(-1)
+    """B_n(q) = A_n(q-1) as a polynomial in q."""
+    return _q_row(n)
 
 
 def count_nilpotent(n, q):
@@ -196,4 +219,4 @@ def count_nilpotent(n, q):
         raise ValueError("dimension must be >= 1")
     if q < 1:
         raise ValueError("carrier size must be >= 1")
-    return acyclic_polynomial(n).evaluate(q - 1)
+    return _q_row(n).evaluate(q)

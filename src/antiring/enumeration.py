@@ -130,9 +130,12 @@ def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
 def orth_decomp_search(semiring, max_carrier=16):
     """Every orthogonal decomposition of 1, by exhaustive subset search.
 
-    Scans all subsets of the nonzero carrier; results are sorted by length
-    then by canonical part order.  Used to confirm both the maximality and
-    the refinement property of max_orthogonal_decomposition.
+    Searches depth-first over the nonzero carrier in carrier order, extending
+    a subset only by an element orthogonal to every element already in it:
+    a subset holding a non-orthogonal pair is never a decomposition, so no
+    decomposition is skipped.  Results are sorted by length then by
+    canonical part order.  Used to confirm both the maximality and the
+    refinement property of max_orthogonal_decomposition.
     """
     _require_finite(semiring)
     semiring.ensure_nondegenerate()
@@ -145,14 +148,18 @@ def orth_decomp_search(semiring, max_carrier=16):
     add, mul, zero, one = semiring.add, semiring.mul, semiring.zero, semiring.one
     nonzero = [x for x in semiring.elements() if x != zero]
     found = []
-    for r in range(1, len(nonzero) + 1):
-        for combo in itertools.combinations(nonzero, r):
-            total = combo[0]
-            for x in combo[1:]:
-                total = add(total, x)
-            if total != one:
+
+    def extend(start, chosen, total):
+        for i in range(start, len(nonzero)):
+            x = nonzero[i]
+            if any(mul(a, x) != zero for a in chosen):
                 continue
-            if all(mul(a, b) == zero for a, b in itertools.combinations(combo, 2)):
+            combo = chosen + (x,)
+            t = x if total is None else add(total, x)
+            if t == one:
                 found.append(OrthogonalDecomposition(semiring, combo))
+            extend(i + 1, combo, t)
+
+    extend(0, (), None)
     found.sort(key=lambda d: (d.length, [semiring.sort_key(p) for p in d.parts]))
     return found

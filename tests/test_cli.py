@@ -3,6 +3,7 @@ import json
 import pytest
 
 import antiring as ar
+import antiring.cli
 from antiring.cli import run
 
 BOOL_UPPER = "semiring boolean\nn 2\n1 1\n0 1\n"
@@ -187,12 +188,26 @@ def test_missing_file_is_domain_error():
     assert out.stdout == ""
 
 
-def test_exhausted_recursion_is_a_domain_error():
-    # the counting recurrence still recurses once per dimension
-    out = run(["poly", "-n", "600"])
-    assert out.exit_code == 1 and out.stdout == ""
-    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-    assert "Traceback" not in out.stderr
+def test_counting_over_the_cap_is_a_budget_refusal():
+    for argv in (["poly", "-n", "600"], ["count", "nilpotent", "-n", "600", "-q", "2"]):
+        out = run(argv)
+        assert out.exit_code == 3 and out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "600" in out.stderr and str(ar.MAX_COUNT_N) in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_exhausted_recursion_is_a_domain_error(monkeypatch):
+    # the catch-all also turns an exhausted stack or heap into exit 1
+    for error in (RecursionError, MemoryError):
+        def exhausted(n, error=error):
+            raise error()
+
+        monkeypatch.setattr(antiring.cli, "nilpotent_count_polynomial", exhausted)
+        out = run(["poly", "-n", "3"])
+        assert out.exit_code == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
 
 
 def test_help_exits_zero():

@@ -1,9 +1,13 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 
 import antiring as ar
-from antiring.dag_counting import IntPolynomial
+from antiring import dag_counting
+from antiring.dag_counting import MAX_COUNT_N, IntPolynomial
 
 
 # --- independent DAG oracle: scan all loop-free patterns, DFS cycle test ---
@@ -44,23 +48,29 @@ def test_int_polynomial_arithmetic():
     p = IntPolynomial([1, 2])  # 1 + 2x
     q = IntPolynomial([0, 0, 3])  # 3x^2
     assert (p + q).coeffs == (1, 2, 3)
-    assert (p * q).coeffs == (0, 0, 3, 6)
-    assert (p * 0) == IntPolynomial()
     assert p.evaluate(10) == 21
     assert IntPolynomial([0, 0, 0]) == IntPolynomial()
     assert IntPolynomial().evaluate(5) == 0
-    assert 2 * p == IntPolynomial([2, 4])
 
 
 def test_int_polynomial_shift_exactness():
     # (1+x)^e shifted by -1 is x^e
     for e in (0, 1, 2, 5, 9):
-        shifted = IntPolynomial.one_plus_x_power(e).shift(-1)
+        one_plus_x_power = IntPolynomial(math.comb(e, i) for i in range(e + 1))
+        shifted = one_plus_x_power.shift(-1)
         assert shifted.coeffs == tuple([0] * e + [1])
     p = IntPolynomial([3, -1, 4, 1])
     for c in (-2, -1, 0, 1, 3):
         for v in (-5, 0, 7):
             assert p.shift(c).evaluate(v) == p.evaluate(v + c)
+    rng = random.Random(4)
+    for _ in range(20):
+        p = IntPolynomial(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 41)))
+        for c in (-3, -1, 1, 2):
+            shifted = p.shift(c)
+            assert shifted.degree == p.degree
+            for v in (-4, 0, 3, 11):
+                assert shifted.evaluate(v) == p.evaluate(v + c)
 
 
 def test_partitions_examples():
@@ -119,7 +129,7 @@ def test_counts_at_small_q():
 
 
 def test_recurrence_equals_partition_form():
-    for n in range(11):
+    for n in range(19):
         assert ar.acyclic_polynomial(n) == ar.acyclic_polynomial_partition_form(n)
 
 
@@ -164,3 +174,73 @@ def test_count_polynomial_evaluation_matches_substituted_polynomial():
         poly_q = ar.nilpotent_count_polynomial(n)
         for q in (1, 2, 3, 5, 10):
             assert poly_q.evaluate(q) == ar.count_nilpotent(n, q)
+
+
+# --- the bottom-up q-basis table against the independent partition form ---
+
+
+def test_counts_equal_partition_form_evaluations():
+    for n in range(1, 19):
+        oracle = ar.acyclic_polynomial_partition_form(n)
+        for q in (1, 2, 3, 5, 7):
+            assert ar.count_nilpotent(n, q) == oracle.evaluate(q - 1)
+
+
+def test_table_rows_do_not_depend_on_request_order(monkeypatch):
+    monkeypatch.setattr(dag_counting, "_q_rows", [IntPolynomial([1])])
+    small_first = [ar.nilpotent_count_polynomial(n) for n in range(31)]
+    monkeypatch.setattr(dag_counting, "_q_rows", [IntPolynomial([1])])
+    assert ar.count_nilpotent(30, 2) == small_first[30].evaluate(2)
+    assert [ar.nilpotent_count_polynomial(n) for n in range(31)] == small_first
+    for n in range(1, 8):
+        assert ar.count_nilpotent(n, 2) == ar.acyclic_polynomial_partition_form(n).evaluate(1)
+
+
+def test_concurrent_growth_keeps_rows_in_order(monkeypatch):
+    reference = [ar.nilpotent_count_polynomial(n) for n in range(41)]
+    monkeypatch.setattr(dag_counting, "_q_rows", [IntPolynomial([1])])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=ar.nilpotent_count_polynomial, args=(n,))
+            for n in (40, 37, 33, 29, 40, 38)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert dag_counting._q_rows == reference
+
+
+def test_counting_cap_refuses_before_the_table_grows():
+    rows = len(dag_counting._q_rows)
+    n = MAX_COUNT_N + 1
+    for call in (
+        lambda: ar.count_nilpotent(n, 2),
+        lambda: ar.nilpotent_count_polynomial(n),
+        lambda: ar.acyclic_polynomial(n),
+    ):
+        with pytest.raises(ar.BudgetExceededError) as exc:
+            call()
+        assert exc.value.required == n
+        assert str(n) in str(exc.value) and str(MAX_COUNT_N) in str(exc.value)
+        assert len(dag_counting._q_rows) == rows
+    with pytest.raises(ValueError):
+        ar.acyclic_polynomial(-1)
+    with pytest.raises(ValueError):
+        ar.nilpotent_count_polynomial(-1)
+
+
+def test_large_count_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        value = ar.count_nilpotent(60, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == ar.nilpotent_count_polynomial(60).evaluate(3)
+    assert value % 3 == 2  # the constant term B_n(0) is (-1)^(n-1)

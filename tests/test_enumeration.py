@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 import antiring as ar
@@ -52,6 +55,50 @@ def test_orth_decomp_search():
 
     assert len(ar.orth_decomp_search(ar.powerset(3))) == 5
     assert [d.parts for d in ar.orth_decomp_search(ar.chain(5))] == [(4,)]
+
+
+def unpruned_orth_decompositions(sr):
+    """Every orthogonal decomposition of 1, from a scan of all 2^k subsets."""
+    nonzero = [x for x in sr.elements() if x != sr.zero]
+    found = []
+    for r in range(1, len(nonzero) + 1):
+        for combo in itertools.combinations(nonzero, r):
+            total = combo[0]
+            for x in combo[1:]:
+                total = sr.add(total, x)
+            if total == sr.one and all(
+                sr.mul(a, b) == sr.zero for a, b in itertools.combinations(combo, 2)
+            ):
+                found.append(combo)
+    found.sort(key=lambda c: (len(c), [sr.sort_key(p) for p in c]))
+    return found
+
+
+def relabeled_powerset4(seed):
+    p4 = ar.powerset(4)
+    elems = p4.elements()
+    labels = list(range(len(elems)))
+    random.Random(seed).shuffle(labels)
+    index = dict(zip(elems, labels))
+
+    def table(op):
+        out = [[0] * len(elems) for _ in elems]
+        for a in elems:
+            for b in elems:
+                out[index[a]][index[b]] = index[op(a, b)]
+        return tuple(map(tuple, out))
+
+    return ar.table_semiring(ar.FiniteTables(
+        size=len(elems), add_table=table(p4.add), mul_table=table(p4.mul),
+        zero_index=index[p4.zero], one_index=index[p4.one],
+    ))
+
+
+def test_pruned_search_equals_unpruned_scan():
+    for sr in (ar.boolean(), ar.chain(5), ar.powerset(3), ar.powerset(4), relabeled_powerset4(44)):
+        found = [d.parts for d in ar.orth_decomp_search(sr)]
+        assert found == unpruned_orth_decompositions(sr)
+    assert len(found) == 15  # the Bell number B_4
 
 
 def test_search_confirms_maximal_decomposition():
