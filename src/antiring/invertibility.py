@@ -3,12 +3,15 @@
 A matrix is invertible iff it is D * sum_e(e * P_e): an invertible diagonal D
 times one permutation matrix per atom e of the maximal orthogonal
 decomposition of 1 (a single atom, 1 itself, over entire semirings).  That
-theorem is the algorithm: row sums give D, each atom e reads its permutation
-off the unique nonzero of e*A in every row, and rebuilding the product and
-comparing it with A entrywise decides.  One pass costs O(k * n^2) semiring
-operations for k atoms, and yields the factorization, the explicit inverse
-sum_e(e * P_e^T) * D^-1 and the semidirect-product coordinates of the group
-of invertible matrices.
+theorem is the algorithm.  One O(n^2) scan reads each row's nonzeros, and
+every later step touches only those: such a matrix has at most k nonzeros
+per row for k atoms.  Row sums give D, each atom e reads its permutation off
+the unique nonzero of e*A in every row, and rebuilding each row of the
+product and comparing it with the row's nonzeros decides, O(k^2 * n) after
+the scan.  The same pass yields the factorization, the explicit inverse
+sum_e(e * P_e^T) * D^-1, built directly with at most k entries per row and
+certified by AB = BA = I computed over the row supports, and the
+semidirect-product coordinates of the group of invertible matrices.
 
 The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
 :func:`invertibility_failure`: an independent oracle, and the source of the
@@ -193,60 +196,123 @@ def invertibility_failure(matrix):
     return None
 
 
+def _support(row, zero):
+    """The nonzeros (j, v) of a row, 0-based j, in column order."""
+    return [(j, v) for j, v in enumerate(row) if v != zero]
+
+
 def _rebuild(semiring, diag, terms):
-    """Rows of D * sum(a * P) over (a, images) terms; images are 1-based one-line."""
+    """Rows of D * sum(a * P) over (a, images) terms; images are 1-based one-line.
+
+    Only the at most one entry per term in each row is placed and multiplied
+    by d_i; every other entry is zero.
+    """
     add, mul, zero = semiring.add, semiring.mul, semiring.zero
     n = len(diag)
-    rows = [[zero] * n for _ in range(n)]
+    cells = [{} for _ in range(n)]
     for a, images in terms:
-        for row, j in zip(rows, images):
-            cur = row[j - 1]
-            row[j - 1] = a if cur == zero else add(cur, a)
-    return tuple(
-        tuple(mul(d, v) if v != zero else zero for v in row) for d, row in zip(diag, rows)
-    )
+        for row, j in zip(cells, images):
+            row[j] = add(row[j], a) if j in row else a
+    rows = [[zero] * n for _ in range(n)]
+    for row, d, placed in zip(rows, diag, cells):
+        for j, a in placed.items():
+            row[j - 1] = mul(d, a)
+    return tuple(map(tuple, rows))
+
+
+def _inverse_rows(semiring, diag, atoms, perms):
+    """Rows of sum_e(e * P_e^T) * D^-1: entry (sigma_e(i), i) collects e * d_i^-1."""
+    add, mul, zero = semiring.add, semiring.mul, semiring.zero
+    n = len(diag)
+    dinv = [semiring.unit_inverse(d) for d in diag]
+    cells = [{} for _ in range(n)]
+    for e, images in zip(atoms, perms):
+        for i, j in enumerate(images):
+            row = cells[j - 1]
+            row[i] = add(row[i], e) if i in row else e
+    rows = [[zero] * n for _ in range(n)]
+    for row, placed in zip(rows, cells):
+        for i, a in placed.items():
+            row[i] = mul(dinv[i], a)
+    return tuple(map(tuple, rows))
+
+
+def _is_identity_product(semiring, left, right):
+    """Whether L @ R = I, for L and R given by their row supports.
+
+    Row i of L @ R sums a * b over (k, a) in row i of L and (j, b) in row k
+    of R, so s nonzeros per row cost O(s^2) per row.  A product that vanishes
+    through zero divisors still lands in its cell, which must then read zero
+    off the diagonal, as the entry of the dense product would.
+    """
+    add, mul, zero, one = semiring.add, semiring.mul, semiring.zero, semiring.one
+    for i, row in enumerate(left):
+        out = {}
+        for k, a in row:
+            for j, b in right[k]:
+                t = mul(a, b)
+                out[j] = add(out[j], t) if j in out else t
+        if out.pop(i, zero) != one or any(v != zero for v in out.values()):
+            return False
+    return True
 
 
 def _atom_coordinates(matrix):
-    """(diag, atoms, perms) with matrix = D * sum_e(e * P_e), or None.
+    """(diag, atoms, perms, supports) with matrix = D * sum_e(e * P_e), or None.
 
-    ``diag`` holds the row sums, each a unit; ``atoms`` the parts of the
-    maximal orthogonal decomposition of 1; ``perms`` one tuple of 1-based
-    images per atom, where sigma_e(i) is the unique j with e*A(i,j) != 0.
-    The final entrywise comparison certifies a success on its own: that form
-    has the explicit inverse sum_e(e * P_e^T) * D^-1.  O(k * n^2) for k atoms.
+    Each row's nonzeros are read once, in one O(n^2) scan (``supports``, with
+    0-based columns); every later step touches only those.  ``diag`` holds
+    the row sums, each a unit; ``atoms`` is the maximal orthogonal
+    decomposition of 1; ``perms`` holds one tuple of 1-based images per atom,
+    where sigma_e(i) is the unique j with e*A(i,j) != 0.  Each row then
+    closes with the rebuild-and-compare check, which certifies a success on
+    its own (that form has the explicit inverse sum_e(e * P_e^T) * D^-1):
+    {sigma_e(i): sum{e : sigma_e(i) = j}} times d_i must equal the row's
+    support, size and values.  Every rebuilt entry is nonzero (a unit times
+    a sum of atoms, in a zerosumfree semiring), so this is exactly the dense
+    entrywise comparison.  A row of more than k nonzeros is refused at once.
+    O(k^2) per row after the read, for k atoms.
     """
     sr = matrix.semiring
     sr.ensure_antiring()
     add, mul, zero = sr.add, sr.mul, sr.zero
-    rows = matrix.rows
-    n = len(rows)
+    atoms = (
+        OrthogonalDecomposition(sr, (sr.one,)) if sr.is_entire
+        else max_orthogonal_decomposition(sr)
+    )
+    parts = atoms.parts
+    k = len(parts)
     diag = []
+    images = []
     supports = []
-    for row in rows:
-        support = [(j, v) for j, v in enumerate(row, start=1) if v != zero]
+    for row in matrix.rows:
+        support = _support(row, zero)
+        if len(support) > k:
+            return None
         total = zero
         for _, v in support:
             total = add(total, v)
         if sr.unit_inverse(total) is None:
             return None
-        diag.append(total)
-        supports.append(support)
-    atoms = (sr.one,) if sr.is_entire else max_orthogonal_decomposition(sr).parts
-    perms = []
-    for e in atoms:
-        images = []
-        for support in supports:
-            hits = [j for j, v in support if mul(e, v) != zero]
-            if len(hits) != 1:
+        hits = []
+        cells = {}
+        for e in parts:
+            js = [j for j, v in support if mul(e, v) != zero]
+            if len(js) != 1:
                 return None
-            images.append(hits[0])
-        if len(set(images)) != n:
+            j = js[0]
+            hits.append(j + 1)
+            cells[j] = add(cells[j], e) if j in cells else e
+        if len(cells) != len(support) or any(mul(total, cells[j]) != v for j, v in support):
             return None
-        perms.append(tuple(images))
-    if _rebuild(sr, diag, zip(atoms, perms)) != rows:
+        diag.append(total)
+        images.append(hits)
+        supports.append(support)
+    n = len(images)
+    perms = [tuple(p) for p in zip(*images)]
+    if any(len(set(p)) != n for p in perms):
         return None
-    return tuple(diag), atoms, perms
+    return tuple(diag), atoms, perms, supports
 
 
 def _invertible_coordinates(matrix):
@@ -264,7 +330,10 @@ def _invertible_coordinates(matrix):
 
 
 def is_invertible(matrix):
-    """Whether the matrix is D * sum_e(e * P_e) over the atoms of 1; O(k * n^2)."""
+    """Whether the matrix is D * sum_e(e * P_e) over the atoms of 1.
+
+    One O(n^2) read of the support, then O(k^2 * n) for k atoms.
+    """
     return _atom_coordinates(matrix) is not None
 
 
@@ -273,14 +342,15 @@ def factorize_invertible(matrix):
 
     D is Diag of the row sums.  Each atom e of the maximal orthogonal
     decomposition of 1 reads off its permutation sigma_e from the unique
-    nonzero of e*A in each row, and a_s = sum{e : sigma_e = s}.  O(k * n^2)
-    for k atoms.  A non-invertible input raises NotInvertibleError whose
-    reason comes from the A*A^T definition (:func:`invertibility_failure`).
+    nonzero of e*A in each row, and a_s = sum{e : sigma_e = s}.  One O(n^2)
+    read of the support, then O(k^2 * n) for k atoms.  A non-invertible
+    input raises NotInvertibleError whose reason comes from the A*A^T
+    definition (:func:`invertibility_failure`).
     """
-    diag, atoms, perms = _invertible_coordinates(matrix)
+    diag, atoms, perms, _ = _invertible_coordinates(matrix)
     sr = matrix.semiring
     coeffs = {}
-    for e, images in zip(atoms, perms):
+    for e, images in zip(atoms.parts, perms):
         coeffs[images] = sr.add(coeffs[images], e) if images in coeffs else e
     terms = [(a, Permutation(images)) for images, a in coeffs.items()]
     return InvertibleFactorization(sr, diag, terms)
@@ -289,18 +359,21 @@ def factorize_invertible(matrix):
 def invert(matrix):
     """The two-sided inverse of an invertible matrix.
 
-    Built from the factorization: B = sum_s a_s * P_s^T * D^-1, the transpose
-    of D^-1 * sum_s a_s * P_s, so O(k * n^2).  The refusal reason is the one
-    of :func:`factorize_invertible`.  AB = BA = I is then checked with two
-    matrix products, and a failure raises RuntimeError.
+    B = sum_e(e * P_e^T) * D^-1 is built directly from the coordinates:
+    entry (sigma_e(i), i) collects e * d_i^-1, at most k entries per row.
+    The refusal reason is the one of :func:`factorize_invertible`.  AB = I
+    and BA = I are then checked as products over the row supports of A (read
+    once, with the coordinates) and of B (read from its entries), O(k^2 * n)
+    after B's O(n^2) read; a failure raises RuntimeError.
     """
-    fact = factorize_invertible(matrix)
+    diag, atoms, perms, supports = _invertible_coordinates(matrix)
     sr = matrix.semiring
-    dinv = [sr.unit_inverse(d) for d in fact.diag]
-    terms = ((a, p.images) for a, p in fact.terms)
-    inverse = Matrix._make(sr, _rebuild(sr, dinv, terms)).transpose()
-    ident = Matrix.identity(sr, matrix.n)
-    if matrix @ inverse != ident or inverse @ matrix != ident:
+    inverse = Matrix._make(sr, _inverse_rows(sr, diag, atoms.parts, perms))
+    inverse_supports = [_support(row, sr.zero) for row in inverse.rows]
+    if not (
+        _is_identity_product(sr, supports, inverse_supports)
+        and _is_identity_product(sr, inverse_supports, supports)
+    ):
         raise RuntimeError("constructed inverse fails AB = BA = I")
     return inverse
 
@@ -342,10 +415,8 @@ def gl_encode(matrix):
         raise UnsupportedOperationError(
             f"gl_encode needs a finite semiring, not {sr.descriptor()}"
         )
-    diag, _, perms = _invertible_coordinates(matrix)
-    return GlCoordinates(
-        sr, diag, max_orthogonal_decomposition(sr), [Permutation(p) for p in perms]
-    )
+    diag, atoms, perms, _ = _invertible_coordinates(matrix)
+    return GlCoordinates(sr, diag, atoms, [Permutation(p) for p in perms])
 
 
 def gl_decode(coords):

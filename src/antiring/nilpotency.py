@@ -163,13 +163,12 @@ def nilpotency_index(matrix):
     return e + 1
 
 
-def triangularize(matrix):
-    """Reorder vertices to make a nilpotent matrix strictly upper triangular.
+def _topological_positions(matrix):
+    """p with p(v) the position of vertex v in the topological order of D(A).
 
-    Returns (B, p) with B = conjugate_by_permutation(A, p) strictly upper
-    triangular; p maps each vertex to its position in the topological order
-    of D(A).  Only defined over entire semirings, where nilpotent matrices
-    are exactly those with acyclic digraphs.
+    Carries the preconditions of :func:`triangularize`, in its order: an
+    entire semiring, an antiring without nonzero nilpotents, then an acyclic
+    digraph (else NotNilpotentError).
     """
     sr = matrix.semiring
     if not sr.is_entire:
@@ -181,5 +180,16 @@ def triangularize(matrix):
     order = topological_order(digraph_of(matrix))
     if order is None:
         raise NotNilpotentError("matrix is not nilpotent")
-    p = order.inverse()
+    return order.inverse()
+
+
+def triangularize(matrix):
+    """Reorder vertices to make a nilpotent matrix strictly upper triangular.
+
+    Returns (B, p) with B = conjugate_by_permutation(A, p) strictly upper
+    triangular; p maps each vertex to its position in the topological order
+    of D(A).  Only defined over entire semirings, where nilpotent matrices
+    are exactly those with acyclic digraphs.
+    """
+    p = _topological_positions(matrix)
     return conjugate_by_permutation(matrix, p), p

@@ -26,7 +26,12 @@ import math
 
 from .errors import BudgetExceededError, NotNilpotentError, PreconditionError
 from .matrices import Matrix
-from .nilpotency import complete_digraph, is_nilpotent, transitive_tournament, triangularize
+from .nilpotency import (
+    _topological_positions,
+    complete_digraph,
+    is_nilpotent,
+    transitive_tournament,
+)
 
 
 class EdgeColoring:
@@ -269,7 +274,7 @@ def decompose_nilpotent(matrix):
     """Split a nilpotent matrix into at most ceil(log2 n) square-zero summands.
 
     Edge (i, j) of the support gets ``_binary_color(pos(i), pos(j))``, with
-    pos the 0-based topological position that ``triangularize`` computes;
+    pos the 0-based topological position by which ``triangularize`` reorders;
     every edge runs forward in that order, so this is the tournament coloring
     read in the original labels.  Inside one class no two edges are
     consecutive, so every term of a squared summand has a zero factor:
@@ -279,8 +284,7 @@ def decompose_nilpotent(matrix):
         if not is_nilpotent(matrix):
             raise NotNilpotentError("matrix is not nilpotent")
         return SquareZeroDecomposition(matrix, ())
-    _, p = triangularize(matrix)
-    pos = [k - 1 for k in p.images]
+    pos = [k - 1 for k in _topological_positions(matrix).images]
     summands = _split_by_color(matrix, lambda i, j: _binary_color(pos[i], pos[j]))
     return SquareZeroDecomposition(matrix, summands)
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import pathlib
 import random
 
 import pytest
@@ -397,6 +396,85 @@ def test_disagreement_with_the_definition_raises(monkeypatch):
         ar.factorize_invertible(ar.Matrix(ar.boolean(), [[1, 1], [0, 1]]))
 
 
-def test_invertibility_module_has_no_assert():
-    """Invariants raise explicitly: python -O strips assert statements."""
-    assert "assert " not in pathlib.Path(invertibility.__file__).read_text()
+
+def test_certificate_rejects_a_wrong_inverse_value(monkeypatch):
+    """A wrong unit inverse corrupts every entry of B; AB = I must catch it."""
+    t = ar.tropical()
+    a = ar.Matrix.diagonal(t, [5, -2, 3])
+    monkeypatch.setattr(t, "unit_inverse", lambda v: None if v == ar.INF else 1 - v)
+    with pytest.raises(RuntimeError, match="AB = BA = I"):
+        ar.invert(a)
+
+
+@pytest.mark.parametrize("name", ["tropical", "powerset2"])
+def test_certificate_rejects_a_stray_inverse_entry(monkeypatch, name):
+    """One extra nonzero in B, off its support: the certificate reads B's
+    entries, so it sees the entry the construction did not place."""
+    sr = builtin(name)
+    rng = random.Random(31)
+    n = 6
+    if name == "tropical":
+        a = ar.Matrix.diagonal(sr, [3, -1, 0, 7, 2, -4]) @ ar.permutation_matrix(
+            random_permutation(n, rng), sr)
+    else:
+        a = ar.Matrix(sr, [
+            [frozenset({1}) if j == i else frozenset({2}) if j == (i + 1) % n else frozenset()
+             for j in range(n)]
+            for i in range(n)
+        ])
+    build = invertibility._inverse_rows
+
+    def corrupted(*args):
+        rows = [list(row) for row in build(*args)]
+        j = next(j for j, v in enumerate(rows[2]) if v == sr.zero)
+        rows[2][j] = sr.one
+        return tuple(map(tuple, rows))
+
+    assert ar.invert(a) @ a == ar.Matrix.identity(sr, n)
+    monkeypatch.setattr(invertibility, "_inverse_rows", corrupted)
+    with pytest.raises(RuntimeError, match="AB = BA = I"):
+        ar.invert(a)
+
+
+def large_invertible(name, n, rng):
+    """D * sum_e(e * P_e) at dimension n, one random permutation per atom."""
+    sr = ar.powerset(3) if name == "powerset3" else builtin(name)
+    atoms = ar.max_orthogonal_decomposition(sr).parts if name == "powerset3" else (sr.one,)
+    units = [rng.randrange(-20, 21) if name == "tropical" else sr.one for _ in range(n)]
+    rows = [[sr.zero] * n for _ in range(n)]
+    for e in atoms:
+        p = random_permutation(n, rng)
+        for i in range(n):
+            j = p(i + 1) - 1
+            rows[i][j] = e if rows[i][j] == sr.zero else sr.add(rows[i][j], e)
+    rows = [[sr.mul(d, v) for v in row] for d, row in zip(units, rows)]
+    return sr, ar.Matrix(sr, rows)
+
+
+LARGE_CASES = [("naturals", 256), ("tropical", 256), ("powerset3", 48)]
+
+
+@pytest.mark.parametrize("name,n", LARGE_CASES)
+def test_large_sparse_inverse_and_factorization(name, n):
+    sr, a = large_invertible(name, n, random.Random(n))
+    b = ar.invert(a)
+    ident = ar.Matrix.identity(sr, n)
+    assert a @ b == ident and b @ a == ident
+    assert ar.factorize_invertible(a).reconstruct() == a
+
+
+@pytest.mark.parametrize("name", ["naturals", "tropical", "powerset3"])
+def test_large_near_miss_refuses_with_the_oracle_reason(name):
+    rng = random.Random(41)
+    sr, a = large_invertible(name, 256, rng)
+    rows = [list(row) for row in a.rows]
+    i = rng.randrange(256)
+    j = rng.choice([j for j, v in enumerate(rows[i]) if v == sr.zero])
+    rows[i][j] = random_nonzero(sr, rng)
+    near = ar.Matrix(sr, rows)
+    reason = ar.invertibility_failure(near)
+    assert reason is not None and not ar.is_invertible(near)
+    for call in (ar.invert, ar.factorize_invertible):
+        with pytest.raises(NotInvertibleError) as info:
+            call(near)
+        assert info.value.reason == reason

