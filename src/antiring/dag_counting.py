@@ -65,15 +65,6 @@ class IntPolynomial:
     def coefficient(self, d):
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
-
     def evaluate(self, v):
         acc = 0
         for c in reversed(self.coeffs):

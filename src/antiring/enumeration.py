@@ -37,6 +37,9 @@ def _require_finite(semiring):
 
 
 def _check_budget(semiring, n, budget):
+    """Refuse a dimension below 1, then a matrix space over the budget."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     total = semiring.size ** (n * n)
     if total > budget.max_states:
         raise BudgetExceededError(

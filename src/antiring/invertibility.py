@@ -3,15 +3,16 @@
 A matrix is invertible iff it is D * sum_e(e * P_e): an invertible diagonal D
 times one permutation matrix per atom e of the maximal orthogonal
 decomposition of 1 (a single atom, 1 itself, over entire semirings).  That
-theorem is the algorithm.  One O(n^2) scan reads each row's nonzeros, and
-every later step touches only those: such a matrix has at most k nonzeros
-per row for k atoms.  Row sums give D, each atom e reads its permutation off
-the unique nonzero of e*A in every row, and rebuilding each row of the
-product and comparing it with the row's nonzeros decides, O(k^2 * n) after
-the scan.  The same pass yields the factorization, the explicit inverse
-sum_e(e * P_e^T) * D^-1, built directly with at most k entries per row and
-certified by AB = BA = I computed over the row supports, and the
-semidirect-product coordinates of the group of invertible matrices.
+theorem is the algorithm.  It reads the matrix only through
+``Matrix.nonzeros()`` (one O(n^2) scan), and every later step touches only
+those: such a matrix has at most k nonzeros per row for k atoms.  Row sums
+give D, each atom e reads its permutation off the unique nonzero of e*A in
+every row, and rebuilding each row of the product and comparing it with the
+row's nonzeros decides, O(k^2 * n) after the scan.  The same pass yields the
+factorization, the explicit inverse (D^-1 * sum_e(e * P_e))^T, built by the
+same sparse rebuild and certified by AB = BA = I computed over the nonzeros
+of A and of B, and the semidirect-product coordinates of the group of
+invertible matrices.
 
 The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
 :func:`invertibility_failure`: an independent oracle, and the source of the
@@ -196,11 +197,6 @@ def invertibility_failure(matrix):
     return None
 
 
-def _support(row, zero):
-    """The nonzeros (j, v) of a row, 0-based j, in column order."""
-    return [(j, v) for j, v in enumerate(row) if v != zero]
-
-
 def _rebuild(semiring, diag, terms):
     """Rows of D * sum(a * P) over (a, images) terms; images are 1-based one-line.
 
@@ -220,25 +216,8 @@ def _rebuild(semiring, diag, terms):
     return tuple(map(tuple, rows))
 
 
-def _inverse_rows(semiring, diag, atoms, perms):
-    """Rows of sum_e(e * P_e^T) * D^-1: entry (sigma_e(i), i) collects e * d_i^-1."""
-    add, mul, zero = semiring.add, semiring.mul, semiring.zero
-    n = len(diag)
-    dinv = [semiring.unit_inverse(d) for d in diag]
-    cells = [{} for _ in range(n)]
-    for e, images in zip(atoms, perms):
-        for i, j in enumerate(images):
-            row = cells[j - 1]
-            row[i] = add(row[i], e) if i in row else e
-    rows = [[zero] * n for _ in range(n)]
-    for row, placed in zip(rows, cells):
-        for i, a in placed.items():
-            row[i] = mul(dinv[i], a)
-    return tuple(map(tuple, rows))
-
-
 def _is_identity_product(semiring, left, right):
-    """Whether L @ R = I, for L and R given by their row supports.
+    """Whether L @ R = I, for L and R given by their ``Matrix.nonzeros()``.
 
     Row i of L @ R sums a * b over (k, a) in row i of L and (j, b) in row k
     of R, so s nonzeros per row cost O(s^2) per row.  A product that vanishes
@@ -258,10 +237,10 @@ def _is_identity_product(semiring, left, right):
 
 
 def _atom_coordinates(matrix):
-    """(diag, atoms, perms, supports) with matrix = D * sum_e(e * P_e), or None.
+    """(diag, atoms, perms) with matrix = D * sum_e(e * P_e), or None.
 
-    Each row's nonzeros are read once, in one O(n^2) scan (``supports``, with
-    0-based columns); every later step touches only those.  ``diag`` holds
+    Only the rows' nonzeros are read (``Matrix.nonzeros()``, one O(n^2)
+    scan), and every later step touches only those.  ``diag`` holds
     the row sums, each a unit; ``atoms`` is the maximal orthogonal
     decomposition of 1; ``perms`` holds one tuple of 1-based images per atom,
     where sigma_e(i) is the unique j with e*A(i,j) != 0.  Each row then
@@ -284,9 +263,7 @@ def _atom_coordinates(matrix):
     k = len(parts)
     diag = []
     images = []
-    supports = []
-    for row in matrix.rows:
-        support = _support(row, zero)
+    for support in matrix.nonzeros():
         if len(support) > k:
             return None
         total = zero
@@ -307,12 +284,11 @@ def _atom_coordinates(matrix):
             return None
         diag.append(total)
         images.append(hits)
-        supports.append(support)
     n = len(images)
     perms = [tuple(p) for p in zip(*images)]
     if any(len(set(p)) != n for p in perms):
         return None
-    return tuple(diag), atoms, perms, supports
+    return tuple(diag), atoms, perms
 
 
 def _invertible_coordinates(matrix):
@@ -347,7 +323,7 @@ def factorize_invertible(matrix):
     input raises NotInvertibleError whose reason comes from the A*A^T
     definition (:func:`invertibility_failure`).
     """
-    diag, atoms, perms, _ = _invertible_coordinates(matrix)
+    diag, atoms, perms = _invertible_coordinates(matrix)
     sr = matrix.semiring
     coeffs = {}
     for e, images in zip(atoms.parts, perms):
@@ -359,21 +335,19 @@ def factorize_invertible(matrix):
 def invert(matrix):
     """The two-sided inverse of an invertible matrix.
 
-    B = sum_e(e * P_e^T) * D^-1 is built directly from the coordinates:
-    entry (sigma_e(i), i) collects e * d_i^-1, at most k entries per row.
-    The refusal reason is the one of :func:`factorize_invertible`.  AB = I
-    and BA = I are then checked as products over the row supports of A (read
-    once, with the coordinates) and of B (read from its entries), O(k^2 * n)
-    after B's O(n^2) read; a failure raises RuntimeError.
+    B = sum_e(e * P_e^T) * D^-1 = (D^-1 * sum_e(e * P_e))^T is the sparse
+    rebuild of the coordinates with D^-1 for D, transposed: entry
+    (sigma_e(i), i) collects e * d_i^-1.  The refusal reason is the one of
+    :func:`factorize_invertible`.  AB = I and BA = I are then checked as
+    products over the nonzeros of A and of B, each read from the matrix's own
+    entries, O(k^2 * n) after B's O(n^2) read; a failure raises RuntimeError.
     """
-    diag, atoms, perms, supports = _invertible_coordinates(matrix)
+    diag, atoms, perms = _invertible_coordinates(matrix)
     sr = matrix.semiring
-    inverse = Matrix._make(sr, _inverse_rows(sr, diag, atoms.parts, perms))
-    inverse_supports = [_support(row, sr.zero) for row in inverse.rows]
-    if not (
-        _is_identity_product(sr, supports, inverse_supports)
-        and _is_identity_product(sr, inverse_supports, supports)
-    ):
+    dinv = [sr.unit_inverse(d) for d in diag]
+    inverse = Matrix._make(sr, _rebuild(sr, dinv, zip(atoms.parts, perms))).transpose()
+    a, b = matrix.nonzeros(), inverse.nonzeros()
+    if not (_is_identity_product(sr, a, b) and _is_identity_product(sr, b, a)):
         raise RuntimeError("constructed inverse fails AB = BA = I")
     return inverse
 
@@ -384,22 +358,27 @@ def max_orthogonal_decomposition(semiring):
     Chains are entire, so theirs is {1}; for the powerset lattice it is the
     singleton sets.  Table semirings go through greedy refinement, which is
     exhaustive in effect: every decomposition refines to the maximal one.
-    The refinement runs once per table semiring instance.
+    The decomposition is built and validated once and kept on the semiring
+    instance, so it lives exactly as long as the semiring does.
     """
-    if not semiring.is_finite:
-        raise UnsupportedOperationError(
-            f"maximal orthogonal decomposition needs a finite carrier, "
-            f"not {semiring.descriptor()}"
-        )
-    semiring.ensure_nondegenerate()
-    semiring.ensure_antiring()
-    if semiring.kind == "chain":
-        parts = [semiring.one]
-    elif semiring.kind == "powerset":
-        parts = [frozenset([x]) for x in range(1, semiring.m + 1)]
-    else:
-        parts = semiring.atoms
-    return OrthogonalDecomposition(semiring, parts)
+    decomposition = semiring._max_orthogonal_decomposition
+    if decomposition is None:
+        if not semiring.is_finite:
+            raise UnsupportedOperationError(
+                f"maximal orthogonal decomposition needs a finite carrier, "
+                f"not {semiring.descriptor()}"
+            )
+        semiring.ensure_nondegenerate()
+        semiring.ensure_antiring()
+        if semiring.kind == "chain":
+            parts = [semiring.one]
+        elif semiring.kind == "powerset":
+            parts = [frozenset([x]) for x in range(1, semiring.m + 1)]
+        else:
+            parts = semiring.atoms
+        decomposition = OrthogonalDecomposition(semiring, parts)
+        semiring._max_orthogonal_decomposition = decomposition
+    return decomposition
 
 
 def gl_encode(matrix):
@@ -415,7 +394,7 @@ def gl_encode(matrix):
         raise UnsupportedOperationError(
             f"gl_encode needs a finite semiring, not {sr.descriptor()}"
         )
-    diag, atoms, perms, _ = _invertible_coordinates(matrix)
+    diag, atoms, perms = _invertible_coordinates(matrix)
     return GlCoordinates(sr, diag, atoms, [Permutation(p) for p in perms])
 
 

@@ -3,6 +3,11 @@
 Entries are raw carrier payloads; the semiring travels on the matrix.  All
 user-facing indexing is 1-based: ``A.entry(i, j)`` is the entry in row i and
 column j.  Matrices are immutable and all operations are pure.
+
+``Matrix.nonzeros()`` is the one reader of a support: digraphs, invertibility
+and the square-zero splittings all go through it.  Products, powers and
+``is_zero`` stay dense: through the nonzeros, the oracles' small products
+were slower.
 """
 
 import itertools
@@ -81,7 +86,7 @@ class Matrix:
     theory in this package is meaningful over them.
     """
 
-    __slots__ = ("semiring", "rows")
+    __slots__ = ("semiring", "rows", "_nonzeros")
 
     def __init__(self, semiring, rows):
         semiring.ensure_nondegenerate()
@@ -93,6 +98,7 @@ class Matrix:
             raise ValueError("matrix must be square")
         self.semiring = semiring
         self.rows = rows
+        self._nonzeros = None
 
     @classmethod
     def _make(cls, semiring, rows):
@@ -100,6 +106,7 @@ class Matrix:
         m = object.__new__(cls)
         m.semiring = semiring
         m.rows = rows
+        m._nonzeros = None
         return m
 
     @property
@@ -209,14 +216,27 @@ class Matrix:
     def diagonal_entries(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 
+    def nonzeros(self):
+        """Per row, the pairs (j, v) with v != 0, j 0-based, in column order.
+
+        Filled once from ``rows`` alone, O(n^2); an all-zero row costs one
+        tuple comparison.  The fill takes no lock: it is idempotent on an
+        immutable matrix, so racing threads store equal tuples.
+        """
+        nonzeros = self._nonzeros
+        if nonzeros is None:
+            z = self.semiring.zero
+            zero_row = (z,) * len(self.rows)
+            nonzeros = self._nonzeros = tuple(
+                () if row == zero_row else tuple([(j, v) for j, v in enumerate(row) if v != z])
+                for row in self.rows
+            )
+        return nonzeros
+
     def support(self):
         """1-based positions (i, j) of the nonzero entries."""
-        z = self.semiring.zero
         return frozenset(
-            (i + 1, j + 1)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if v != z
+            (i + 1, j + 1) for i, row in enumerate(self.nonzeros()) for j, _ in row
         )
 
     def __eq__(self, other):

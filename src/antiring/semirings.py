@@ -37,6 +37,9 @@ class Semiring:
     zero = None
     one = None
 
+    # set on the instance by invertibility.max_orthogonal_decomposition
+    _max_orthogonal_decomposition = None
+
     def _key(self):
         raise NotImplementedError
 

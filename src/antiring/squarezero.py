@@ -5,8 +5,9 @@ is, no index is both a row and a column of its support.  So splitting a
 matrix along the classes of a path-incidence-free edge coloring (no vertex
 carries a same-colored in-edge and out-edge) yields square-zero summands.
 Both colorings used here are closed-form in the endpoints of an edge, so a
-decomposition colors only the support: O(n^2) to read it, then O(n + e) to
-color and bucket it, with no matrix product.
+decomposition colors only the support: O(n^2) to read it with
+``Matrix.nonzeros()``, then O(n + e) to color and bucket it, with no matrix
+product.  The verification reads each summand's own nonzeros the same way.
 
 * Nilpotent matrices over entire antirings: with pos(i) the 0-based position
   of vertex i in a topological order of the digraph, edge (i, j) gets the
@@ -207,7 +208,8 @@ class SquareZeroDecomposition:
     passes the square-zero check by structure when no index is both a row and
     a column of its support; only otherwise is B_i @ B_i computed, which
     accepts summands that square to zero through zero divisors.  The sum is
-    checked entrywise in one pass over the summands' nonzero entries.
+    checked entrywise in one pass over the summands' ``nonzeros()``, read
+    from each summand's own rows.
     """
 
     __slots__ = ("source", "summands")
@@ -216,20 +218,17 @@ class SquareZeroDecomposition:
         summands = tuple(summands)
         sr = source.semiring
         add, z, n = sr.add, sr.zero, source.n
-        zero_row = (z,) * n
         total = [[z] * n for _ in range(n)]
         for b in summands:
             source._same_shape(b)
             rows, cols = set(), set()
-            for i, row in enumerate(b.rows):
-                if row == zero_row:
-                    continue
+            for i, row in enumerate(b.nonzeros()):
+                if row:
+                    rows.add(i)
                 out = total[i]
-                for j, v in enumerate(row):
-                    if v != z:
-                        rows.add(i)
-                        cols.add(j)
-                        out[j] = v if out[j] == z else add(out[j], v)
+                for j, v in row:
+                    cols.add(j)
+                    out[j] = v if out[j] == z else add(out[j], v)
             if not rows.isdisjoint(cols) and not (b @ b).is_zero():
                 raise ValueError("summand does not square to zero")
         if tuple(map(tuple, total)) != source.rows:
@@ -248,15 +247,14 @@ class SquareZeroDecomposition:
 
 
 def _split_by_color(matrix, color):
-    """The support of the matrix bucketed by color(i, j) (0-based indices):
+    """The nonzeros of the matrix bucketed by color(i, j) (0-based indices):
     one summand per color that occurs, in ascending color order."""
     z = matrix.semiring.zero
     n = matrix.n
     buckets = {}
-    for i, row in enumerate(matrix.rows):
-        for j, v in enumerate(row):
-            if v != z:
-                buckets.setdefault(color(i, j), []).append((i, j, v))
+    for i, row in enumerate(matrix.nonzeros()):
+        for j, v in row:
+            buckets.setdefault(color(i, j), []).append((i, j, v))
     zero_row = (z,) * n
     summands = []
     for c in sorted(buckets):

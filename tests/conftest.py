@@ -53,6 +53,28 @@ def random_permutation(n, rng):
     return ar.Permutation(images)
 
 
+def relabeled(semiring, labels):
+    """An isomorphic table semiring in which carrier element k has index labels[k].
+
+    Returns the table semiring and the payload -> index map.
+    """
+    elems = semiring.elements()
+    index = {v: labels[k] for k, v in enumerate(elems)}
+    size = len(elems)
+    tables = {}
+    for name, op in (("add", semiring.add), ("mul", semiring.mul)):
+        table = [[0] * size for _ in range(size)]
+        for a in elems:
+            for b in elems:
+                table[index[a]][index[b]] = index[op(a, b)]
+        tables[name] = tuple(map(tuple, table))
+    ts = ar.table_semiring(ar.FiniteTables(
+        size=size, add_table=tables["add"], mul_table=tables["mul"],
+        zero_index=index[semiring.zero], one_index=index[semiring.one],
+    ))
+    return ts, index
+
+
 def random_nilpotent(semiring, n, rng, density=0.5):
     """A random strictly upper triangular matrix conjugated by a random
     permutation: nilpotent by construction."""

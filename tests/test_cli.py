@@ -155,6 +155,17 @@ def test_gl_enumerate():
     ]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_brute_force_dimension_below_one_is_a_domain_error(n):
+    for argv in (
+        ["count", "nilpotent", "-n", n, "--brute-force", "-q", "2"],
+        ["gl", "enumerate", "--semiring", "chain:3", "-n", n],
+    ):
+        out = run(argv)
+        assert (out.exit_code, out.stdout) == (1, "")
+        assert out.stderr == "error: dimension must be >= 1\n"
+
+
 def test_orthdecomp():
     out = run(["orthdecomp", "--semiring", "powerset:2"])
     assert out.stdout.splitlines() == ["length 2", "parts {1} {2}"]

@@ -127,6 +127,13 @@ def test_budget_refusal_is_upfront():
         ar.enumerate_gl(ar.boolean(), 3, budget=budget)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_dimension_below_one_refused(n):
+    for call in (ar.count_nilpotent_bruteforce, ar.enumerate_gl):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            call(ar.chain(3), n)
+
+
 def test_infinite_carriers_refused():
     with pytest.raises(UnsupportedOperationError):
         ar.count_nilpotent_bruteforce(ar.naturals(), 2)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +14,7 @@ from antiring.errors import (
     UnsupportedOperationError,
 )
 
-from conftest import builtin, random_nonzero, random_permutation
+from conftest import builtin, random_nonzero, random_permutation, relabeled
 
 
 def enumerate_matrices(semiring, n):
@@ -59,28 +61,6 @@ def test_tropical_diagonal_factorization():
     coeff, perm = fact.terms[0]
     assert coeff == 0 and perm == ar.Permutation.identity(2)  # tropical one is 0
     assert ar.invert(a) == ar.Matrix.diagonal(t, [-5, 2])
-
-
-def relabeled(semiring, labels):
-    """An isomorphic table semiring in which carrier element k has index labels[k].
-
-    Returns the table semiring and the payload -> index map.
-    """
-    elems = semiring.elements()
-    index = {v: labels[k] for k, v in enumerate(elems)}
-    size = len(elems)
-    tables = {}
-    for name, op in (("add", semiring.add), ("mul", semiring.mul)):
-        table = [[0] * size for _ in range(size)]
-        for a in elems:
-            for b in elems:
-                table[index[a]][index[b]] = index[op(a, b)]
-        tables[name] = tuple(map(tuple, table))
-    ts = ar.table_semiring(ar.FiniteTables(
-        size=size, add_table=tables["add"], mul_table=tables["mul"],
-        zero_index=index[semiring.zero], one_index=index[semiring.one],
-    ))
-    return ts, index
 
 
 #: A relabeling of powerset(3) that moves both 0 and 1.
@@ -176,6 +156,36 @@ def test_max_orthogonal_decomposition_table_semiring_by_refinement():
     dec = ar.max_orthogonal_decomposition(ts)
     elems = p2.elements()
     assert [elems[i] for i in dec.parts] == [frozenset({1}), frozenset({2})]
+
+
+def test_max_orthogonal_decomposition_is_built_once_per_instance(monkeypatch):
+    built = []
+
+    class Counting(invertibility.OrthogonalDecomposition):
+        def __init__(self, semiring, parts):
+            built.append(semiring)
+            super().__init__(semiring, parts)
+
+    monkeypatch.setattr(invertibility, "OrthogonalDecomposition", Counting)
+    ts = relabeled(ar.powerset(3), P3_LABELS)[0]
+    first = ar.max_orthogonal_decomposition(ts)
+    assert ar.max_orthogonal_decomposition(ts) is first
+    assert ar.is_invertible(ar.Matrix.identity(ts, 3))
+    assert built == [ts]
+    # an equal instance keeps its own
+    twin = relabeled(ar.powerset(3), P3_LABELS)[0]
+    assert ar.max_orthogonal_decomposition(twin) == first
+    assert len(built) == 2
+
+
+def test_max_orthogonal_decomposition_keeps_no_semiring_alive():
+    ts = relabeled(ar.powerset(3), P3_LABELS)[0]
+    ar.max_orthogonal_decomposition(ts)
+    ar.invert(ar.Matrix.identity(ts, 2))
+    ref = weakref.ref(ts)
+    del ts
+    gc.collect()
+    assert ref() is None
 
 
 def test_max_orthogonal_decomposition_errors():
@@ -409,7 +419,9 @@ def test_certificate_rejects_a_wrong_inverse_value(monkeypatch):
 @pytest.mark.parametrize("name", ["tropical", "powerset2"])
 def test_certificate_rejects_a_stray_inverse_entry(monkeypatch, name):
     """One extra nonzero in B, off its support: the certificate reads B's
-    entries, so it sees the entry the construction did not place."""
+    entries, so it sees the entry the construction did not place.  B is the
+    transpose of the sparse rebuild, so the stray entry goes into the rows
+    ``_rebuild`` returns."""
     sr = builtin(name)
     rng = random.Random(31)
     n = 6
@@ -422,7 +434,7 @@ def test_certificate_rejects_a_stray_inverse_entry(monkeypatch, name):
              for j in range(n)]
             for i in range(n)
         ])
-    build = invertibility._inverse_rows
+    build = invertibility._rebuild
 
     def corrupted(*args):
         rows = [list(row) for row in build(*args)]
@@ -431,7 +443,7 @@ def test_certificate_rejects_a_stray_inverse_entry(monkeypatch, name):
         return tuple(map(tuple, rows))
 
     assert ar.invert(a) @ a == ar.Matrix.identity(sr, n)
-    monkeypatch.setattr(invertibility, "_inverse_rows", corrupted)
+    monkeypatch.setattr(invertibility, "_rebuild", corrupted)
     with pytest.raises(RuntimeError, match="AB = BA = I"):
         ar.invert(a)
 

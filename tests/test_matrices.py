@@ -5,7 +5,14 @@ import pytest
 import antiring as ar
 from antiring.errors import FormatError
 
-from conftest import BUILTINS, builtin, random_matrix, random_permutation
+from conftest import (
+    BUILTINS,
+    builtin,
+    random_matrix,
+    random_nilpotent,
+    random_permutation,
+    relabeled,
+)
 
 
 def test_boolean_identity_product():
@@ -187,3 +194,57 @@ def test_matrix_over_table_semiring_file(tmp_path):
     assert m.entry(1, 2) == 1
     # the recorded source keeps serialization parseable from the same directory
     assert "table:bool.tbl" in ar.format_matrix(m)
+
+
+# --- the one reader of the support ---
+
+
+def dense_nonzeros(matrix):
+    """The nonzeros of every row by a plain scan of the entries."""
+    z = matrix.semiring.zero
+    return [[(j, v) for j, v in enumerate(row) if v != z] for row in matrix.rows]
+
+
+def reader_carrier(name):
+    # chain:3 relabeled so that zero is index 2 and one is index 1
+    return relabeled(ar.chain(3), (2, 0, 1))[0] if name == "table" else builtin(name)
+
+
+def random_invertible(sr, n, rng):
+    """D * sum_e(e * P_e): one random permutation per atom of 1."""
+    atoms = (sr.one,) if sr.is_entire else ar.max_orthogonal_decomposition(sr).parts
+    units = [rng.randrange(-9, 10) if sr.kind == "tropical" else sr.one for _ in range(n)]
+    total = ar.Matrix.zeros(sr, n)
+    for e in atoms:
+        p = ar.permutation_matrix(random_permutation(n, rng), sr)
+        total = total + ar.Matrix.diagonal(sr, [e] * n) @ p
+    return ar.Matrix.diagonal(sr, units) @ total
+
+
+def reader_matrices(sr, n, rng):
+    """Matrices from the constructor and from every producer of the fast path."""
+    a, b = random_matrix(sr, n, rng), random_matrix(sr, n, rng)
+    p = random_permutation(n, rng)
+    trace_zero = ar.Matrix(sr, [
+        [sr.zero if i == j else v for j, v in enumerate(row)] for i, row in enumerate(a.rows)
+    ])
+    yield from (a, a @ b, a + b, a.transpose(), ar.conjugate_by_permutation(a, p))
+    yield from (ar.Matrix.zeros(sr, n), ar.Matrix.identity(sr, n), ar.permutation_matrix(p, sr))
+    yield ar.invert(random_invertible(sr, n, rng))
+    yield from ar.decompose_trace_zero(trace_zero)
+    if sr.is_entire:
+        yield from ar.decompose_nilpotent(random_nilpotent(sr, n, rng, density=0.3))
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("table",))
+def test_nonzeros_equal_a_dense_scan(name):
+    sr = reader_carrier(name)
+    rng = random.Random(8)
+    for n in (1, 2, 5, 9):
+        for m in reader_matrices(sr, n, rng):
+            nonzeros = m.nonzeros()
+            assert [list(row) for row in nonzeros] == dense_nonzeros(m)
+            assert m.nonzeros() is nonzeros  # filled once, then kept
+            assert m.support() == {
+                (i + 1, j + 1) for i, row in enumerate(dense_nonzeros(m)) for j, _ in row
+            }

@@ -31,3 +31,32 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+#: The public names of the package.  A name leaves only on purpose.
+PUBLIC_API = [
+    "AntiringError", "AxiomReport", "BudgetExceededError", "CyclicDigraphError",
+    "DegenerateSemiringError", "Digraph", "EdgeColoring", "Element", "EnumerationBudget",
+    "FiniteTables", "FormatError", "GlCoordinates", "INF", "IntPolynomial",
+    "InvertibleFactorization", "MAX_COUNT_N", "Matrix", "NotInvertibleError",
+    "NotNilpotentError", "OrthogonalDecomposition", "Partition", "Permutation",
+    "PreconditionError", "Semiring", "SquareZeroDecomposition", "UnsupportedOperationError",
+    "acyclic_polynomial", "acyclic_polynomial_partition_form", "boolean", "chain",
+    "complete_digraph", "complete_digraph_coloring", "conjugate_by_permutation",
+    "count_nilpotent", "count_nilpotent_bruteforce", "dag_counting", "decompose_nilpotent",
+    "decompose_trace_zero", "digraph_of", "enumerate_gl", "enumeration", "errors",
+    "factorize_invertible", "format_matrix", "format_tables", "gl_decode", "gl_encode",
+    "invert", "invertibility", "invertibility_failure", "is_acyclic", "is_invertible",
+    "is_nilpotent", "list_idempotents", "longest_path", "matrices",
+    "max_orthogonal_decomposition", "min_coloring_search", "naturals", "nilpotency",
+    "nilpotency_index", "nilpotent_count_polynomial", "orth_decomp_search", "parse_matrix",
+    "parse_matrix_file", "parse_semiring", "parse_tables", "parse_tables_file", "partitions",
+    "permutation_matrix", "powerset", "semirings", "squarezero", "table_semiring",
+    "to_tables", "topological_order", "tournament_coloring", "tracezero_capacity",
+    "tracezero_max_dimension", "transitive_tournament", "triangularize", "tropical",
+    "validate_axioms",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(ar.__all__) == PUBLIC_API

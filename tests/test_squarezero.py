@@ -3,6 +3,7 @@ import random
 import pytest
 
 import antiring as ar
+from antiring import squarezero
 from antiring.errors import BudgetExceededError, PreconditionError
 
 from conftest import all_boolean_matrices, builtin, random_matrix, random_nilpotent, random_nonzero
@@ -298,6 +299,42 @@ def test_square_zero_decomposition_validation():
     cyclic = ar.Matrix(p2, [[set(), {1}], [{1}, set()]])
     with pytest.raises(ValueError, match="square"):
         ar.SquareZeroDecomposition(cyclic, [cyclic])
+
+
+@pytest.mark.parametrize("change", ["value", "stray"])
+def test_verification_reads_the_summands_it_is_given(monkeypatch, change):
+    """A builder that alters one entry of one summand is caught: the
+    verification reads each summand's own entries, not the buckets."""
+    split = squarezero._split_by_color
+
+    def corrupted(matrix, color):
+        summands = split(matrix, color)
+        sr = matrix.semiring
+        rows = [list(row) for row in summands[0].rows]
+        # a nonzero of the summand gets another value, or a zero of the
+        # source gets a nonzero: either way the sum no longer matches
+        i, j = next(
+            (i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+            if (v != sr.zero if change == "value" else matrix.rows[i][j] == sr.zero)
+        )
+        rows[i][j] = 1 if rows[i][j] == 2 else 2
+        summands[0] = ar.Matrix(sr, rows)
+        return summands
+
+    sr = ar.chain(3)
+    a = random_nilpotent(sr, 8, random.Random(22))
+    trace_zero = random_matrix(sr, 8, random.Random(23))
+    trace_zero = ar.Matrix(sr, [
+        [sr.zero if i == j else v for j, v in enumerate(row)]
+        for i, row in enumerate(trace_zero.rows)
+    ])
+    ar.decompose_nilpotent(a)
+    ar.decompose_trace_zero(trace_zero)
+    monkeypatch.setattr(squarezero, "_split_by_color", corrupted)
+    with pytest.raises(ValueError):
+        ar.decompose_nilpotent(a)
+    with pytest.raises(ValueError):
+        ar.decompose_trace_zero(trace_zero)
 
 
 def _full_coloring_split(matrix, coloring):
