@@ -39,7 +39,6 @@ from .errors import (
 from .invertibility import (
     GlCoordinates,
     InvertibleFactorization,
-    OrthogonalDecomposition,
     factorize_invertible,
     gl_decode,
     gl_encode,
@@ -74,6 +73,7 @@ from .semirings import (
     AxiomReport,
     Element,
     FiniteTables,
+    OrthogonalDecomposition,
     Semiring,
     boolean,
     chain,

@@ -11,8 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, UnsupportedOperationError
-from .invertibility import OrthogonalDecomposition, invertibility_failure
+from .invertibility import invertibility_failure
 from .matrices import Matrix
+from .semirings import OrthogonalDecomposition
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 A matrix is invertible iff it is D * sum_e(e * P_e): an invertible diagonal D
 times one permutation matrix per atom e of the maximal orthogonal
 decomposition of 1 (a single atom, 1 itself, over entire semirings).  That
-theorem is the algorithm.  It reads the matrix only through
-``Matrix.nonzeros()`` (one O(n^2) scan), and every later step touches only
-those: such a matrix has at most k nonzeros per row for k atoms.  Row sums
-give D, each atom e reads its permutation off the unique nonzero of e*A in
-every row, and rebuilding each row of the product and comparing it with the
-row's nonzeros decides, O(k^2 * n) after the scan.  The same pass yields the
+theorem is the algorithm.  The atoms are the semiring's own
+(:attr:`Semiring.atoms`, built once per instance), and this module only
+reads them.  The matrix is read only through ``Matrix.nonzeros()`` (one
+O(n^2) scan), and every later step touches only those: such a matrix has
+at most k nonzeros per row for k atoms.  Row sums give D, each atom e reads
+its permutation off the unique nonzero of e*A in every row, and rebuilding
+each row of the product and comparing it with the row's nonzeros decides,
+O(k^2 * n) after the scan.  The same pass yields the
 factorization, the explicit inverse (D^-1 * sum_e(e * P_e))^T, built by the
 same sparse rebuild and certified by AB = BA = I computed over the nonzeros
 of A and of B, and the semidirect-product coordinates of the group of
@@ -19,69 +21,9 @@ The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
 reason a refusal names.
 """
 
-import itertools
-
 from .errors import NotInvertibleError, UnsupportedOperationError
 from .matrices import Matrix, Permutation
-
-
-class OrthogonalDecomposition:
-    """Nonzero elements summing to 1 with pairwise products 0.
-
-    Parts are kept in canonical carrier order.  Each part is necessarily
-    idempotent: a_i = a_i * sum(a_j) = a_i^2.
-    """
-
-    __slots__ = ("semiring", "parts")
-
-    def __init__(self, semiring, parts):
-        parts = tuple(sorted((semiring.coerce(p) for p in parts), key=semiring.sort_key))
-        if not parts:
-            raise ValueError("orthogonal decomposition needs at least one part")
-        zero, one = semiring.zero, semiring.one
-        add, mul = semiring.add, semiring.mul
-        if any(p == zero for p in parts):
-            raise ValueError("orthogonal decomposition parts must be nonzero")
-        if len(set(parts)) != len(parts):
-            raise ValueError("orthogonal decomposition parts must be distinct")
-        total = parts[0]
-        for p in parts[1:]:
-            total = add(total, p)
-        if total != one:
-            raise ValueError(
-                f"parts sum to {semiring.format_element(total)}, not 1"
-            )
-        for a, b in itertools.combinations(parts, 2):
-            if mul(a, b) != zero:
-                raise ValueError(
-                    f"parts {semiring.format_element(a)} and "
-                    f"{semiring.format_element(b)} are not orthogonal"
-                )
-        for p in parts:
-            if mul(p, p) != p:
-                raise ValueError(
-                    f"part {semiring.format_element(p)} is not idempotent"
-                )
-        self.semiring = semiring
-        self.parts = parts
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrthogonalDecomposition)
-            and self.semiring == other.semiring
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((self.semiring, self.parts))
-
-    def __repr__(self):
-        body = ", ".join(self.semiring.format_element(p) for p in self.parts)
-        return f"OrthogonalDecomposition({self.semiring.descriptor()}, [{body}])"
+from .semirings import OrthogonalDecomposition
 
 
 class InvertibleFactorization:
@@ -241,11 +183,12 @@ def _atom_coordinates(matrix):
 
     Only the rows' nonzeros are read (``Matrix.nonzeros()``, one O(n^2)
     scan), and every later step touches only those.  ``diag`` holds
-    the row sums, each a unit; ``atoms`` is the maximal orthogonal
-    decomposition of 1; ``perms`` holds one tuple of 1-based images per atom,
-    where sigma_e(i) is the unique j with e*A(i,j) != 0.  Each row then
-    closes with the rebuild-and-compare check, which certifies a success on
-    its own (that form has the explicit inverse sum_e(e * P_e^T) * D^-1):
+    the row sums, each a unit; ``atoms`` is ``Semiring.atoms``, the maximal
+    orthogonal decomposition of 1, which refuses a non-antiring; ``perms``
+    holds one tuple of 1-based images per atom, where sigma_e(i) is the
+    unique j with e*A(i,j) != 0.  Each row then closes with the
+    rebuild-and-compare check, which certifies a success on its own (that
+    form has the explicit inverse sum_e(e * P_e^T) * D^-1):
     {sigma_e(i): sum{e : sigma_e(i) = j}} times d_i must equal the row's
     support, size and values.  Every rebuilt entry is nonzero (a unit times
     a sum of atoms, in a zerosumfree semiring), so this is exactly the dense
@@ -253,12 +196,8 @@ def _atom_coordinates(matrix):
     O(k^2) per row after the read, for k atoms.
     """
     sr = matrix.semiring
-    sr.ensure_antiring()
     add, mul, zero = sr.add, sr.mul, sr.zero
-    atoms = (
-        OrthogonalDecomposition(sr, (sr.one,)) if sr.is_entire
-        else max_orthogonal_decomposition(sr)
-    )
+    atoms = sr.atoms
     parts = atoms.parts
     k = len(parts)
     diag = []
@@ -353,32 +292,22 @@ def invert(matrix):
 
 
 def max_orthogonal_decomposition(semiring):
-    """The unique orthogonal decomposition of 1 of maximal length.
+    """The unique orthogonal decomposition of 1 of maximal length, over a
+    finite carrier: ``semiring.atoms``.
 
-    Chains are entire, so theirs is {1}; for the powerset lattice it is the
-    singleton sets.  Table semirings go through greedy refinement, which is
-    exhaustive in effect: every decomposition refines to the maximal one.
-    The decomposition is built and validated once and kept on the semiring
-    instance, so it lives exactly as long as the semiring does.
+    Refuses an infinite carrier (UnsupportedOperationError), then, through
+    ``atoms``, a degenerate one and a non-antiring.  Entire carriers have
+    {1}, the powerset lattice the singleton sets, and table semirings the
+    greedy refinement of {1}, which is exhaustive in effect: every
+    decomposition refines to the maximal one.  Built and validated once per
+    semiring instance.
     """
-    decomposition = semiring._max_orthogonal_decomposition
-    if decomposition is None:
-        if not semiring.is_finite:
-            raise UnsupportedOperationError(
-                f"maximal orthogonal decomposition needs a finite carrier, "
-                f"not {semiring.descriptor()}"
-            )
-        semiring.ensure_nondegenerate()
-        semiring.ensure_antiring()
-        if semiring.kind == "chain":
-            parts = [semiring.one]
-        elif semiring.kind == "powerset":
-            parts = [frozenset([x]) for x in range(1, semiring.m + 1)]
-        else:
-            parts = semiring.atoms
-        decomposition = OrthogonalDecomposition(semiring, parts)
-        semiring._max_orthogonal_decomposition = decomposition
-    return decomposition
+    if not semiring.is_finite:
+        raise UnsupportedOperationError(
+            f"maximal orthogonal decomposition needs a finite carrier, "
+            f"not {semiring.descriptor()}"
+        )
+    return semiring.atoms
 
 
 def gl_encode(matrix):

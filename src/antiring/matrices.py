@@ -187,15 +187,17 @@ class Matrix:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("matrix power needs a nonnegative integer exponent")
-        result = Matrix.identity(self.semiring, self.n)
+        if k == 0:
+            return Matrix.identity(self.semiring, self.n)
+        result = None  # the identity, never multiplied by
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             k >>= 1
-            if k:
-                base = base @ base
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def transpose(self):
         return Matrix._make(self.semiring, tuple(zip(*self.rows)))

@@ -125,7 +125,6 @@ def is_nilpotent(matrix):
     power test itself (see the module docstring).
     """
     sr = matrix.semiring
-    sr.ensure_antiring()
     sr.ensure_nilpotent_free()
     if sr.is_entire:
         return is_acyclic(digraph_of(matrix))
@@ -141,7 +140,6 @@ def nilpotency_index(matrix):
     ceil(log2 n) to refuse a matrix whose powers never vanish.
     """
     sr = matrix.semiring
-    sr.ensure_antiring()
     sr.ensure_nilpotent_free()
     if sr.is_entire:
         try:
@@ -175,7 +173,6 @@ def _topological_positions(matrix):
         raise PreconditionError(
             f"triangularize needs an entire semiring; {sr.descriptor()} has zero divisors"
         )
-    sr.ensure_antiring()
     sr.ensure_nilpotent_free()
     order = topological_order(digraph_of(matrix))
     if order is None:

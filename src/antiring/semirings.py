@@ -5,11 +5,18 @@ A semiring here is a value object: it names a carrier, distinguished elements
 Payloads are plain hashable Python values (ints, frozensets, ``math.inf``),
 so structural ``==`` is exact equality in the carrier.  All instances are
 immutable and safe to share.
+
+Each semiring also owns its atoms of 1 (:attr:`Semiring.atoms`): the maximal
+orthogonal decomposition of 1, along which S splits as the product of the
+e*S.  It is a fact about the carrier alone, built and validated once per
+instance, and the matrix layers read it instead of working it out again.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     DegenerateSemiringError,
@@ -37,8 +44,8 @@ class Semiring:
     zero = None
     one = None
 
-    # set on the instance by invertibility.max_orthogonal_decomposition
-    _max_orthogonal_decomposition = None
+    # set on the instance by the first read of ``atoms``
+    _atoms = None
 
     def _key(self):
         raise NotImplementedError
@@ -97,8 +104,11 @@ class Semiring:
     # --- units ---
 
     def unit_inverse(self, value):
-        """The multiplicative inverse of ``value``, or None when not a unit."""
-        raise NotImplementedError
+        """The multiplicative inverse of ``value``, or None when not a unit.
+
+        By default 1 is the only unit.
+        """
+        return self.one if value == self.one else None
 
     # --- structural facts used as preconditions ---
 
@@ -120,15 +130,47 @@ class Semiring:
         """
 
     def ensure_nilpotent_free(self):
+        """Raise unless this is a commutative antiring without nonzero nilpotents."""
+        self.ensure_antiring()
         if not self.is_nilpotent_free:
             raise PreconditionError(
                 f"{self.descriptor()} has nonzero nilpotent elements"
             )
 
+    # --- the atoms of 1 ---
+
+    @property
+    def atoms(self):
+        """The maximal orthogonal decomposition of 1, built and validated once.
+
+        Defined on nondegenerate commutative antirings, which is checked
+        first (DegenerateSemiringError, then PreconditionError).  The parts
+        come from :meth:`_atom_parts`; the result is kept on the instance, so
+        it lives exactly as long as the semiring does.  The lock-free fill is
+        idempotent: threads that race build equal decompositions.
+        """
+        if self._atoms is None:
+            self.ensure_nondegenerate()
+            self.ensure_antiring()
+            self._atoms = OrthogonalDecomposition(self, self._atom_parts())
+        return self._atoms
+
+    def _atom_parts(self):
+        """Parts of the maximal orthogonal decomposition of 1.
+
+        {1} over an entire semiring, where orthogonal nonzero parts would be
+        zero divisors; a semiring with zero divisors must say its own.
+        """
+        if not self.is_entire:
+            raise NotImplementedError(
+                f"{self.descriptor()} has zero divisors and names no atoms of 1"
+            )
+        return (self.one,)
+
     # --- text form of single elements ---
 
-    def format_element(self, value):
-        raise NotImplementedError
+    #: The text of one payload; ``parse_element`` reads it back.
+    format_element = str
 
     def parse_element(self, token):
         raise NotImplementedError
@@ -189,6 +231,65 @@ class Element:
         return self.semiring.format_element(self.value)
 
 
+class OrthogonalDecomposition:
+    """Nonzero elements summing to 1 with pairwise products 0.
+
+    Parts are kept in canonical carrier order.  Each part is necessarily
+    idempotent: a_i = a_i * sum(a_j) = a_i^2.
+    """
+
+    __slots__ = ("semiring", "parts")
+
+    def __init__(self, semiring, parts):
+        parts = tuple(sorted((semiring.coerce(p) for p in parts), key=semiring.sort_key))
+        if not parts:
+            raise ValueError("orthogonal decomposition needs at least one part")
+        zero, one = semiring.zero, semiring.one
+        add, mul = semiring.add, semiring.mul
+        if any(p == zero for p in parts):
+            raise ValueError("orthogonal decomposition parts must be nonzero")
+        if len(set(parts)) != len(parts):
+            raise ValueError("orthogonal decomposition parts must be distinct")
+        total = parts[0]
+        for p in parts[1:]:
+            total = add(total, p)
+        if total != one:
+            raise ValueError(
+                f"parts sum to {semiring.format_element(total)}, not 1"
+            )
+        for a, b in itertools.combinations(parts, 2):
+            if mul(a, b) != zero:
+                raise ValueError(
+                    f"parts {semiring.format_element(a)} and "
+                    f"{semiring.format_element(b)} are not orthogonal"
+                )
+        for p in parts:
+            if mul(p, p) != p:
+                raise ValueError(
+                    f"part {semiring.format_element(p)} is not idempotent"
+                )
+        self.semiring = semiring
+        self.parts = parts
+
+    @property
+    def length(self):
+        return len(self.parts)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OrthogonalDecomposition)
+            and self.semiring == other.semiring
+            and self.parts == other.parts
+        )
+
+    def __hash__(self):
+        return hash((self.semiring, self.parts))
+
+    def __repr__(self):
+        body = ", ".join(self.semiring.format_element(p) for p in self.parts)
+        return f"OrthogonalDecomposition({self.semiring.descriptor()}, [{body}])"
+
+
 def _parse_int(token, what):
     try:
         return int(token)
@@ -199,13 +300,16 @@ def _parse_int(token, what):
 class Chain(Semiring):
     """The chain lattice {0, ..., q-1}: addition is max, multiplication is min.
 
-    A finite entire commutative antiring.  ``Chain(2)`` is the Boolean
-    semiring and prints as ``boolean``; ``Chain(1)`` is the degenerate
-    one-element semiring (accepted here, rejected by matrix operations).
+    A finite entire commutative antiring whose only unit is 1 (min(a, b) =
+    q-1 forces a = b = q-1).  ``Chain(2)`` is the Boolean semiring and prints
+    as ``boolean``; ``Chain(1)`` is the degenerate one-element semiring
+    (accepted here, rejected by matrix operations).
     """
 
     kind = "chain"
     is_finite = True
+    is_entire = True
+    is_nilpotent_free = True
 
     def __init__(self, q):
         if q < 1:
@@ -229,21 +333,6 @@ class Chain(Semiring):
     def contains(self, value):
         return isinstance(value, int) and 0 <= value < self.q
 
-    def unit_inverse(self, value):
-        # min(a, b) = q-1 forces a = b = q-1
-        return self.one if value == self.one else None
-
-    @property
-    def is_entire(self):
-        return True
-
-    @property
-    def is_nilpotent_free(self):
-        return True
-
-    def format_element(self, value):
-        return str(value)
-
     def parse_element(self, token):
         v = _parse_int(token, self.descriptor())
         if not 0 <= v < self.q:
@@ -255,11 +344,13 @@ class Powerset(Semiring):
     """Subsets of {1..m} under union (addition) and intersection (multiplication).
 
     A finite commutative antiring; not entire once m >= 2 (disjoint nonempty
-    sets are zero divisors).  Canonical order is by characteristic bitmask.
+    sets are zero divisors).  Its only unit is 1, since a ∩ b is the full set
+    only when a = b = full set.  Canonical order is by characteristic bitmask.
     """
 
     kind = "powerset"
     is_finite = True
+    is_nilpotent_free = True
 
     def __init__(self, m):
         if m < 0:
@@ -292,17 +383,13 @@ class Powerset(Semiring):
     def sort_key(self, value):
         return sum(1 << (x - 1) for x in value)
 
-    def unit_inverse(self, value):
-        # a ∩ b is the full set only when a = b = full set
-        return self.one if value == self.one else None
-
     @property
     def is_entire(self):
         return self.m <= 1
 
-    @property
-    def is_nilpotent_free(self):
-        return True
+    def _atom_parts(self):
+        # the singletons, in closed form: refining over 2^m idempotents does not scale
+        return [frozenset([x]) for x in range(1, self.m + 1)]
 
     def format_element(self, value):
         return "{" + ",".join(str(x) for x in sorted(value)) + "}"
@@ -323,6 +410,8 @@ class Naturals(Semiring):
     """Nonnegative integers with ordinary + and *: an infinite entire antiring."""
 
     kind = "naturals"
+    is_entire = True
+    is_nilpotent_free = True
 
     def __init__(self):
         self.zero = 0
@@ -338,20 +427,6 @@ class Naturals(Semiring):
 
     def contains(self, value):
         return isinstance(value, int) and value >= 0
-
-    def unit_inverse(self, value):
-        return 1 if value == 1 else None
-
-    @property
-    def is_entire(self):
-        return True
-
-    @property
-    def is_nilpotent_free(self):
-        return True
-
-    def format_element(self, value):
-        return str(value)
 
     def parse_element(self, token):
         v = _parse_int(token, "naturals")
@@ -374,6 +449,8 @@ class MinPlus(Semiring):
     """
 
     kind = "tropical"
+    is_entire = True
+    is_nilpotent_free = True
 
     def __init__(self):
         self.zero = INF
@@ -401,14 +478,6 @@ class MinPlus(Semiring):
 
     def unit_inverse(self, value):
         return None if value == INF else -value
-
-    @property
-    def is_entire(self):
-        return True
-
-    @property
-    def is_nilpotent_free(self):
-        return True
 
     def format_element(self, value):
         return "inf" if value == INF else str(value)
@@ -566,7 +635,7 @@ class TableSemiring(Semiring):
 
     Elements compare by index.  The axiom report is computed lazily, once,
     and consulted by the operations whose correctness depends on the antiring
-    axioms; the atoms of 1 are likewise found once per instance.
+    axioms.
     """
 
     kind = "table"
@@ -584,7 +653,6 @@ class TableSemiring(Semiring):
         self.mul = lambda a, b: mul_t[a][b]
         self._report = None
         self._units = None
-        self._atoms = None
 
     def _key(self):
         return (
@@ -619,36 +687,31 @@ class TableSemiring(Semiring):
                 f"(failed: {', '.join(sorted(failed))})"
             )
 
-    @property
-    def atoms(self):
-        """Parts of the maximal orthogonal decomposition of 1, found once.
+    def _atom_parts(self):
+        """Greedy refinement of {1}: a part e splits into (x, y) when x and y
+        are nonzero with x + y = e and x*y = 0.
 
-        Greedy refinement of {1}: a part e splits into (x, y) when x and y are
-        nonzero with x + y = e and x*y = 0.  Zerosumfreeness makes x and y
-        orthogonal to the other parts, and any maximal refinement is the
-        unique maximal decomposition.  Only idempotents can appear as parts,
-        so only idempotent pairs are scanned.  Meaningful on commutative
-        antirings only; callers check that first.
+        Zerosumfreeness makes x and y orthogonal to the other parts, and any
+        maximal refinement is the unique maximal decomposition.  Only
+        idempotents can appear as parts, so only idempotent pairs are scanned.
         """
-        if self._atoms is None:
-            mul, add, zero = self.mul, self.add, self.zero
-            idem = [x for x in range(self.size) if mul(x, x) == x and x != zero]
-            parts = [self.one]
-            changed = True
-            while changed:
-                changed = False
-                for idx, e in enumerate(parts):
-                    split = next(
-                        ((x, y) for x in idem for y in idem
-                         if add(x, y) == e and mul(x, y) == zero),
-                        None,
-                    )
-                    if split:
-                        parts[idx:idx + 1] = split
-                        changed = True
-                        break
-            self._atoms = tuple(parts)
-        return self._atoms
+        mul, add, zero = self.mul, self.add, self.zero
+        idem = [x for x in range(self.size) if mul(x, x) == x and x != zero]
+        parts = [self.one]
+        changed = True
+        while changed:
+            changed = False
+            for idx, e in enumerate(parts):
+                split = next(
+                    ((x, y) for x in idem for y in idem
+                     if add(x, y) == e and mul(x, y) == zero),
+                    None,
+                )
+                if split:
+                    parts[idx:idx + 1] = split
+                    changed = True
+                    break
+        return parts
 
     @property
     def is_entire(self):
@@ -668,9 +731,6 @@ class TableSemiring(Semiring):
             self._units = units
         return self._units.get(value)
 
-    def format_element(self, value):
-        return str(value)
-
     def parse_element(self, token):
         v = _parse_int(token, "table index")
         if not 0 <= v < self.size:
@@ -680,15 +740,11 @@ class TableSemiring(Semiring):
 
 # cached built-in constructors: semirings are value objects, sharing is free
 
-_CACHE = {}
 
-
+@cache
 def chain(q):
     """The chain lattice with q levels."""
-    key = ("chain", q)
-    if key not in _CACHE:
-        _CACHE[key] = Chain(q)
-    return _CACHE[key]
+    return Chain(q)
 
 
 def boolean():
@@ -696,27 +752,21 @@ def boolean():
     return chain(2)
 
 
+@cache
 def powerset(m):
     """The powerset lattice over {1..m}."""
-    key = ("powerset", m)
-    if key not in _CACHE:
-        _CACHE[key] = Powerset(m)
-    return _CACHE[key]
+    return Powerset(m)
 
 
+@cache
 def naturals():
-    key = ("naturals",)
-    if key not in _CACHE:
-        _CACHE[key] = Naturals()
-    return _CACHE[key]
+    return Naturals()
 
 
+@cache
 def tropical():
     """The integer min-plus semiring."""
-    key = ("tropical",)
-    if key not in _CACHE:
-        _CACHE[key] = MinPlus()
-    return _CACHE[key]
+    return MinPlus()
 
 
 def table_semiring(tables, source=None):

@@ -251,21 +251,21 @@ def _split_by_color(matrix, color):
     one summand per color that occurs, in ascending color order."""
     z = matrix.semiring.zero
     n = matrix.n
-    buckets = {}
+    classes = {}  # color -> {row index: row entries}
     for i, row in enumerate(matrix.nonzeros()):
         for j, v in row:
-            buckets.setdefault(color(i, j), []).append((i, j, v))
+            rows = classes.setdefault(color(i, j), {})
+            if i not in rows:
+                rows[i] = [z] * n
+            rows[i][j] = v
     zero_row = (z,) * n
-    summands = []
-    for c in sorted(buckets):
-        rows = {}
-        for i, j, v in buckets[c]:
-            rows.setdefault(i, [z] * n)[j] = v
-        summands.append(Matrix._make(
+    return [
+        Matrix._make(
             matrix.semiring,
             tuple(tuple(rows[i]) if i in rows else zero_row for i in range(n)),
-        ))
-    return summands
+        )
+        for _, rows in sorted(classes.items())
+    ]
 
 
 def decompose_nilpotent(matrix):
@@ -296,7 +296,6 @@ def decompose_trace_zero(matrix):
     a sum of nilpotent matrices at all).
     """
     sr = matrix.semiring
-    sr.ensure_antiring()
     sr.ensure_nilpotent_free()
     for i in range(1, matrix.n + 1):
         v = matrix.entry(i, i)

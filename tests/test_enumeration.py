@@ -102,9 +102,11 @@ def test_pruned_search_equals_unpruned_scan():
 
 
 def test_search_confirms_maximal_decomposition():
-    for sr in (ar.boolean(), ar.chain(3), ar.powerset(2), ar.powerset(3)):
+    for sr in (ar.boolean(), ar.chain(3), ar.powerset(2), ar.powerset(3), ar.powerset(4),
+               relabeled_powerset4(45)):
         found = ar.orth_decomp_search(sr)
         maximal = ar.max_orthogonal_decomposition(sr)
+        assert sr.atoms == maximal
         assert maximal in found
         assert maximal.length == max(d.length for d in found)
         # uniqueness of the maximal length

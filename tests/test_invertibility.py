@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import antiring as ar
-from antiring import invertibility
+from antiring import invertibility, semirings
 from antiring.errors import (
     DegenerateSemiringError,
     NotInvertibleError,
@@ -161,12 +161,12 @@ def test_max_orthogonal_decomposition_table_semiring_by_refinement():
 def test_max_orthogonal_decomposition_is_built_once_per_instance(monkeypatch):
     built = []
 
-    class Counting(invertibility.OrthogonalDecomposition):
+    class Counting(semirings.OrthogonalDecomposition):
         def __init__(self, semiring, parts):
             built.append(semiring)
             super().__init__(semiring, parts)
 
-    monkeypatch.setattr(invertibility, "OrthogonalDecomposition", Counting)
+    monkeypatch.setattr(semirings, "OrthogonalDecomposition", Counting)
     ts = relabeled(ar.powerset(3), P3_LABELS)[0]
     first = ar.max_orthogonal_decomposition(ts)
     assert ar.max_orthogonal_decomposition(ts) is first
@@ -176,6 +176,15 @@ def test_max_orthogonal_decomposition_is_built_once_per_instance(monkeypatch):
     twin = relabeled(ar.powerset(3), P3_LABELS)[0]
     assert ar.max_orthogonal_decomposition(twin) == first
     assert len(built) == 2
+    # entire carriers, finite or not, build {1} once too, not once per call
+    for sr in (semirings.Chain(3), semirings.MinPlus()):
+        a = ar.Matrix.identity(sr, 3)
+        for _ in range(3):
+            assert ar.is_invertible(a)
+            assert ar.factorize_invertible(a).reconstruct() == a
+            assert ar.invert(a) == a
+        assert built[2:].count(sr) == 1
+    assert len(built) == 4
 
 
 def test_max_orthogonal_decomposition_keeps_no_semiring_alive():
@@ -189,10 +198,14 @@ def test_max_orthogonal_decomposition_keeps_no_semiring_alive():
 
 
 def test_max_orthogonal_decomposition_errors():
-    with pytest.raises(UnsupportedOperationError):
-        ar.max_orthogonal_decomposition(ar.naturals())
+    for sr in (ar.naturals(), ar.tropical()):
+        with pytest.raises(UnsupportedOperationError):
+            ar.max_orthogonal_decomposition(sr)
     with pytest.raises(DegenerateSemiringError):
         ar.max_orthogonal_decomposition(ar.chain(1))
+    # the infinite entire carriers still own their single atom of 1
+    assert ar.naturals().atoms.parts == (1,)
+    assert ar.tropical().atoms.parts == (0,)
 
 
 def test_orthogonal_decomposition_validation():

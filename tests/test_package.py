@@ -20,6 +20,15 @@ def test_module_has_no_assert(module):
     assert "assert " not in (PACKAGE_DIR / module).read_text()
 
 
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE_DIR.glob("*.py") if p.name != "semirings.py")
+)
+def test_module_reads_no_semiring_kind(module):
+    """Behaviour that differs by carrier lives on the semiring: only semirings.py
+    reads ``.kind``, so a type switch elsewhere cannot return unnoticed."""
+    assert ".kind" not in (PACKAGE_DIR / module).read_text()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ)
