@@ -206,18 +206,6 @@ class Matrix:
         z = self.semiring.zero
         return all(v == z for row in self.rows for v in row)
 
-    def is_diagonal(self):
-        z = self.semiring.zero
-        return all(
-            v == z
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if i != j
-        )
-
-    def diagonal_entries(self):
-        return tuple(self.rows[i][i] for i in range(self.n))
-
     def nonzeros(self):
         """Per row, the pairs (j, v) with v != 0, j 0-based, in column order.
 

@@ -6,9 +6,15 @@ commutative antiring that pattern decides nilpotency: a walk's entry product
 is nonzero because there are no zero divisors, and a sum of nonzero products
 stays nonzero because the semiring is zerosumfree, so A^h(i, j) != 0 exactly
 when the digraph has a walk of length h from i to j.  Hence A is nilpotent
-iff its digraph is acyclic, and its index is the longest path + 1.  Those are
-the algorithms here: O(n^2) to read the support, then O(n + e) for the
-topological order and the longest path.
+iff its digraph is acyclic, and its index is the longest path + 1.
+
+Both are read off one quantity, each vertex's level: the most edges on a path
+ending there.  One pass of Kahn's topological sort over ``Matrix.nonzeros()``
+computes the levels, or finds a cycle: O(n^2) to read the support, then
+O(n + e).  A is nilpotent iff the levels exist, its index is the highest
+level + 1, ordering the vertices by (level, index) triangularizes it, and the
+levels label the square-zero split (``squarezero``).  The public digraph
+functions run the same pass over a ``Digraph``'s edges.
 
 Over non-entire antirings the pattern does not decide (a 2-cycle whose two
 entries multiply to zero is nilpotent), so the matrix powers do.  The power
@@ -19,7 +25,6 @@ power nonzero, and zerosumfreeness keeps every power of A nonzero from then
 on.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import CyclicDigraphError, NotNilpotentError, PreconditionError
@@ -40,12 +45,6 @@ class Digraph:
         for (i, j) in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
-
-    def out_neighbors(self):
-        adj = {v: [] for v in range(1, self.n + 1)}
-        for (i, j) in self.edges:
-            adj[i].append(j)
-        return adj
 
     def __str__(self):
         return "\n".join(f"{i} -> {j}" for (i, j) in sorted(self.edges))
@@ -68,84 +67,100 @@ def digraph_of(matrix):
     return Digraph(matrix.n, matrix.support())
 
 
+def _levels(out):
+    """Kahn's pass over 0-based out-lists: each vertex's level, the most
+    edges on a path ending there, or None when there is a cycle.
+
+    A vertex is taken once all its in-edges are, so its level is final by
+    then; a loop keeps its vertex waiting forever, like any cycle.
+    """
+    indeg = [0] * len(out)
+    for targets in out:
+        for w in targets:
+            indeg[w] += 1
+    level = [0] * len(out)
+    ready = [v for v, d in enumerate(indeg) if not d]
+    for v in ready:  # grows while it is read
+        up = level[v] + 1
+        for w in out[v]:
+            if level[w] < up:
+                level[w] = up
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return level if len(ready) == len(out) else None
+
+
+def _digraph_levels(g):
+    """The levels of g, 0-based by vertex, or None when g is cyclic."""
+    out = [[] for _ in range(g.n)]
+    for (i, j) in g.edges:
+        out[i - 1].append(j - 1)
+    return _levels(out)
+
+
+def _level_order(level):
+    """The 1-based vertices sorted stably by level, so ties keep index
+    order: every edge runs forward."""
+    return Permutation(v + 1 for v in sorted(range(len(level)), key=level.__getitem__))
+
+
 def topological_order(g):
     """A vertex order placing every edge forward, or None when g is cyclic.
 
     Returned as a Permutation p with p(k) = the k-th vertex of the order.
-    Ties break toward the smallest original vertex index, so the result is
-    deterministic.
+    Vertices are ordered by level, the most edges on a path ending there,
+    and ties break toward the smallest original vertex index, so the result
+    is deterministic.
     """
-    indeg = {v: 0 for v in range(1, g.n + 1)}
-    adj = g.out_neighbors()
-    for (i, j) in g.edges:
-        indeg[j] += 1
-        if i == j:
-            return None  # a loop is a cycle; its vertex never becomes a source
-    heap = [v for v in indeg if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != g.n:
-        return None
-    return Permutation(order)
+    level = _digraph_levels(g)
+    return None if level is None else _level_order(level)
 
 
 def is_acyclic(g):
     """True iff g has no directed cycle; a loop counts as a cycle."""
-    return topological_order(g) is not None
+    return _digraph_levels(g) is not None
 
 
 def longest_path(g):
     """Maximum number of edges on a directed path of an acyclic digraph."""
-    order = topological_order(g)
-    if order is None:
+    level = _digraph_levels(g)
+    if level is None:
         raise CyclicDigraphError("longest_path needs an acyclic digraph")
-    adj = g.out_neighbors()
-    dist = {v: 0 for v in range(1, g.n + 1)}
-    for k in range(1, g.n + 1):
-        v = order(k)
-        dv = dist[v]
-        for w in adj[v]:
-            if dv + 1 > dist[w]:
-                dist[w] = dv + 1
-    return max(dist.values()) if dist else 0
+    return max(level)
+
+
+def _support_levels(matrix):
+    """The levels of D(A), read from ``Matrix.nonzeros()``, or None when cyclic."""
+    return _levels([[j for j, _ in row] for row in matrix.nonzeros()])
 
 
 def is_nilpotent(matrix):
     """True iff A^n = 0 (n the dimension).
 
     Requires a commutative antiring without nonzero nilpotent elements.  Over
-    entire semirings this is acyclicity of the digraph; elsewhere it is the
-    power test itself (see the module docstring).
+    entire semirings this is "the levels of the digraph exist"; elsewhere it
+    is the power test itself (see the module docstring).
     """
     sr = matrix.semiring
     sr.ensure_nilpotent_free()
     if sr.is_entire:
-        return is_acyclic(digraph_of(matrix))
+        return _support_levels(matrix) is not None
     return (matrix ** matrix.n).is_zero()
 
 
 def nilpotency_index(matrix):
     """The least h >= 1 with A^h = 0.
 
-    Over entire semirings this is the longest path of the digraph + 1.
+    Over entire semirings this is the highest level of the digraph + 1.
     Elsewhere the squares A, A^2, A^4, ... are taken until one vanishes, and h
     is located below it by binary lifting: at most 2*ceil(log2 h) matmuls, and
     ceil(log2 n) to refuse a matrix whose powers never vanish.
     """
     sr = matrix.semiring
-    sr.ensure_nilpotent_free()
     if sr.is_entire:
-        try:
-            return longest_path(digraph_of(matrix)) + 1
-        except CyclicDigraphError:
-            raise NotNilpotentError("matrix is not nilpotent") from None
+        return max(_nilpotent_levels(matrix)) + 1
+    sr.ensure_nilpotent_free()
     squares = [matrix]  # squares[k] = A^(2^k)
     while not squares[-1].is_zero():
         if 1 << (len(squares) - 1) >= matrix.n:
@@ -161,8 +176,8 @@ def nilpotency_index(matrix):
     return e + 1
 
 
-def _topological_positions(matrix):
-    """p with p(v) the position of vertex v in the topological order of D(A).
+def _nilpotent_levels(matrix):
+    """The levels of D(A), 0-based by vertex.
 
     Carries the preconditions of :func:`triangularize`, in its order: an
     entire semiring, an antiring without nonzero nilpotents, then an acyclic
@@ -174,19 +189,20 @@ def _topological_positions(matrix):
             f"triangularize needs an entire semiring; {sr.descriptor()} has zero divisors"
         )
     sr.ensure_nilpotent_free()
-    order = topological_order(digraph_of(matrix))
-    if order is None:
+    level = _support_levels(matrix)
+    if level is None:
         raise NotNilpotentError("matrix is not nilpotent")
-    return order.inverse()
+    return level
 
 
 def triangularize(matrix):
     """Reorder vertices to make a nilpotent matrix strictly upper triangular.
 
     Returns (B, p) with B = conjugate_by_permutation(A, p) strictly upper
-    triangular; p maps each vertex to its position in the topological order
-    of D(A).  Only defined over entire semirings, where nilpotent matrices
-    are exactly those with acyclic digraphs.
+    triangular; p maps each vertex to its position when the vertices are
+    ordered by (level, index), the order of :func:`topological_order`.  Only
+    defined over entire semirings, where nilpotent matrices are exactly those
+    with acyclic digraphs.
     """
-    p = _topological_positions(matrix)
+    p = _level_order(_nilpotent_levels(matrix)).inverse()
     return conjugate_by_permutation(matrix, p), p

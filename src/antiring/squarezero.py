@@ -4,22 +4,24 @@ A matrix B squares to zero whenever its digraph has no path of length 2, that
 is, no index is both a row and a column of its support.  So splitting a
 matrix along the classes of a path-incidence-free edge coloring (no vertex
 carries a same-colored in-edge and out-edge) yields square-zero summands.
-Both colorings used here are closed-form in the endpoints of an edge, so a
-decomposition colors only the support: O(n^2) to read it with
-``Matrix.nonzeros()``, then O(n + e) to color and bucket it, with no matrix
-product.  The verification reads each summand's own nonzeros the same way.
+Both colorings used here are closed-form in labels of an edge's endpoints,
+so a decomposition colors only the support: O(n^2) to read it with
+``Matrix.nonzeros()``, then O(n + e) to label, color and bucket it, with no
+matrix product.  The verification reads each summand's own nonzeros the same
+way.
 
-* Nilpotent matrices over entire antirings: with pos(i) the 0-based position
-  of vertex i in a topological order of the digraph, edge (i, j) gets the
-  highest bit where pos(i) and pos(j) differ, at most ceil(log2 n) colors.
+* Nilpotent matrices over entire antirings: with level(i) the most edges on
+  a path of the digraph ending at vertex i, edge (i, j) gets the highest bit
+  where level(i) and level(j) differ.  The levels run 0..h-1 for h the
+  nilpotency index, so that is at most ceil(log2 h) <= ceil(log2 n) colors.
 * Trace-zero matrices over any antiring: vertex i gets the i-th
   ceil(N/2)-subset S_i of {1..N} in lexicographic order, and edge (i, j)
   gets min(S_i - S_j), at most N = tracezero_capacity(n) colors.
 
 ``tournament_coloring`` and ``complete_digraph_coloring`` apply the same two
-formulas to every edge of the transitive tournament and of the complete
-digraph, and an exhaustive backtracking search certifies the sharpness of
-both color counts.
+formulas to every edge of the transitive tournament (where vertex i has level
+i - 1) and of the complete digraph, and an exhaustive backtracking search
+certifies the sharpness of both color counts.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import math
 from .errors import BudgetExceededError, NotNilpotentError, PreconditionError
 from .matrices import Matrix
 from .nilpotency import (
-    _topological_positions,
+    _nilpotent_levels,
     complete_digraph,
     is_nilpotent,
     transitive_tournament,
@@ -208,8 +210,8 @@ class SquareZeroDecomposition:
     passes the square-zero check by structure when no index is both a row and
     a column of its support; only otherwise is B_i @ B_i computed, which
     accepts summands that square to zero through zero divisors.  The sum is
-    checked entrywise in one pass over the summands' ``nonzeros()``, read
-    from each summand's own rows.
+    built sparsely, per row, from each summand's ``nonzeros()`` (read from
+    its own rows) and compared with the source's ``nonzeros()``.
     """
 
     __slots__ = ("source", "summands")
@@ -217,8 +219,8 @@ class SquareZeroDecomposition:
     def __init__(self, source, summands):
         summands = tuple(summands)
         sr = source.semiring
-        add, z, n = sr.add, sr.zero, source.n
-        total = [[z] * n for _ in range(n)]
+        add, z = sr.add, sr.zero
+        total = [{} for _ in range(source.n)]  # per row, column -> sum so far
         for b in summands:
             source._same_shape(b)
             rows, cols = set(), set()
@@ -228,10 +230,14 @@ class SquareZeroDecomposition:
                 out = total[i]
                 for j, v in row:
                     cols.add(j)
-                    out[j] = v if out[j] == z else add(out[j], v)
+                    out[j] = add(out[j], v) if j in out else v
             if not rows.isdisjoint(cols) and not (b @ b).is_zero():
                 raise ValueError("summand does not square to zero")
-        if tuple(map(tuple, total)) != source.rows:
+        # a sum can reach zero where 1 + 1 = 0, so zero sums are dropped
+        if any(
+            {j: v for j, v in out.items() if v != z} != dict(row)
+            for out, row in zip(total, source.nonzeros())
+        ):
             raise ValueError("summands do not sum to the source matrix")
         self.source = source
         self.summands = summands
@@ -269,21 +275,21 @@ def _split_by_color(matrix, color):
 
 
 def decompose_nilpotent(matrix):
-    """Split a nilpotent matrix into at most ceil(log2 n) square-zero summands.
+    """Split a nilpotent matrix into at most ceil(log2 h) square-zero summands,
+    h its nilpotency index (so at most ceil(log2 n)).
 
-    Edge (i, j) of the support gets ``_binary_color(pos(i), pos(j))``, with
-    pos the 0-based topological position by which ``triangularize`` reorders;
-    every edge runs forward in that order, so this is the tournament coloring
-    read in the original labels.  Inside one class no two edges are
+    Edge (i, j) of the support gets ``_binary_color(level(i), level(j))``,
+    with level the most edges on a path ending at a vertex; every edge raises
+    the level, and the levels run 0..h-1.  Inside one class no two edges are
     consecutive, so every term of a squared summand has a zero factor:
-    square-zeroness needs no entireness, only the topological order does.
+    square-zeroness needs no entireness, only the levels do.
     """
     if matrix.n == 1:
         if not is_nilpotent(matrix):
             raise NotNilpotentError("matrix is not nilpotent")
         return SquareZeroDecomposition(matrix, ())
-    pos = [k - 1 for k in _topological_positions(matrix).images]
-    summands = _split_by_color(matrix, lambda i, j: _binary_color(pos[i], pos[j]))
+    level = _nilpotent_levels(matrix)
+    summands = _split_by_color(matrix, lambda i, j: _binary_color(level[i], level[j]))
     return SquareZeroDecomposition(matrix, summands)
 
 

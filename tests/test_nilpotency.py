@@ -55,6 +55,32 @@ def test_topological_order_and_tie_break():
     g = ar.Digraph(4, {(2, 4), (1, 4), (3, 4)})
     assert ar.topological_order(g).images == (1, 2, 3, 4)
 
+    # ties break by (level, index): the isolated vertex 3 is at level 0,
+    # ahead of vertex 1 at level 1
+    assert ar.topological_order(ar.Digraph(3, {(2, 1)})).images == (2, 3, 1)
+
+
+# the 3-cycle 1 -> 2 -> 3 -> 1, entered from the source 4 and left to the sink 5
+CYCLE_WITH_TAIL = {(1, 2), (2, 3), (3, 1), (4, 1), (3, 5)}
+
+
+def test_cycle_with_an_acyclic_tail():
+    g = ar.Digraph(5, CYCLE_WITH_TAIL)
+    assert not ar.is_acyclic(g)
+    assert ar.topological_order(g) is None
+    with pytest.raises(CyclicDigraphError):
+        ar.longest_path(g)
+    for sr in (ar.boolean(), ar.chain(3), ar.naturals()):
+        a = ar.Matrix(sr, [
+            [sr.one if (i, j) in CYCLE_WITH_TAIL else sr.zero for j in range(1, 6)]
+            for i in range(1, 6)
+        ])
+        assert ar.digraph_of(a) == g
+        assert not ar.is_nilpotent(a)
+        for f in (ar.nilpotency_index, ar.triangularize, ar.decompose_nilpotent):
+            with pytest.raises(NotNilpotentError):
+                f(a)
+
 
 def test_is_nilpotent_examples():
     b = ar.boolean()

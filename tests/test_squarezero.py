@@ -292,6 +292,16 @@ def test_square_zero_decomposition_validation():
     with pytest.raises(ValueError, match="sum"):
         ar.SquareZeroDecomposition(ar.Matrix(s, [[0, 2], [0, 0]]), parts)
 
+    # where 1 + 1 = 0 the sum of two equal summands is the zero matrix
+    z2 = ar.table_semiring(ar.FiniteTables(
+        size=2, add_table=((0, 1), (1, 0)), mul_table=((0, 0), (0, 1)),
+        zero_index=0, one_index=1,
+    ))
+    e12 = ar.Matrix(z2, [[0, 1], [0, 0]])
+    assert len(ar.SquareZeroDecomposition(ar.Matrix.zeros(z2, 2), [e12, e12])) == 2
+    with pytest.raises(ValueError, match="sum"):
+        ar.SquareZeroDecomposition(ar.Matrix.zeros(z2, 2), [e12])
+
     # over powerset:2 a 2-cycle squares to zero through zero divisors
     p2 = ar.powerset(2)
     m = ar.Matrix(p2, [[set(), {1}], [{2}, set()]])
@@ -353,6 +363,20 @@ def _full_coloring_split(matrix, coloring):
     return pieces
 
 
+def _levels_by_powers(a):
+    """level(v) for a nilpotent A over an entire carrier: the largest h with
+    column v of A^h nonzero (A^0 = I), from the matrix powers alone."""
+    n, z = a.n, a.semiring.zero
+    levels = [0] * n
+    power = a
+    for h in range(1, n):
+        for v in range(n):
+            if any(row[v] != z for row in power.rows):
+                levels[v] = h
+        power = power @ a
+    return levels
+
+
 def test_decompositions_equal_the_full_coloring_construction():
     rng = random.Random(21)
     for name in ("boolean", "chain3", "tropical", "naturals", "powerset2"):
@@ -369,9 +393,15 @@ def test_decompositions_equal_the_full_coloring_construction():
             if not sr.is_entire:
                 continue
             a = random_nilpotent(sr, n, rng, density=rng.choice((0.1, 0.5, 0.9)))
-            upper, p = ar.triangularize(a)
-            expected = [
-                ar.conjugate_by_permutation(piece, p.inverse())
-                for piece in _full_coloring_split(upper, ar.tournament_coloring(n))
-            ]
-            assert list(ar.decompose_nilpotent(a)) == expected
+            levels = _levels_by_powers(a)
+            h = max(levels) + 1
+            bound = (h - 1).bit_length()  # ceil(log2 h)
+            by_levels = ar.EdgeColoring(ar.digraph_of(a), {
+                (i, j): (levels[i - 1] ^ levels[j - 1]).bit_length() for (i, j) in a.support()
+            }, bound)
+            dec = list(ar.decompose_nilpotent(a))
+            assert dec == _full_coloring_split(a, by_levels)
+            assert len(dec) <= bound
+            # the split by topological position, which the levels replaced
+            upper, _ = ar.triangularize(a)
+            assert len(dec) <= len(_full_coloring_split(upper, ar.tournament_coloring(n)))
