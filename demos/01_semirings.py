@@ -12,18 +12,26 @@ p3 = ar.powerset(3)  # subsets of {1,2,3} with union / intersection
 nat = ar.naturals()  # 0, 1, 2, ... with + / *
 trop = ar.tropical()  # integers + infinity with min / +
 
-print("chain(5):   1 + 3 =", (c5.element(1) + c5.element(3)).value, " (max)")
-print("chain(5):   1 * 3 =", (c5.element(1) * c5.element(3)).value, " (min)")
-print("powerset:   {1}+{2,3} =", (p3.element({1}) + p3.element({2, 3})))
-print("tropical:   5 + inf =", (trop.element(5) + trop.element(ar.INF)))
-print("tropical:   5 * 7   =", (trop.element(5) * trop.element(7)), " (integer sum)")
+# payloads are plain values; the semiring carries the operations and the text form
+print("chain(5):   1 + 3 =", c5.add(1, 3), " (max)")
+print("chain(5):   1 * 3 =", c5.mul(1, 3), " (min)")
+print("powerset:   {1}+{2,3} =", p3.format_element(p3.add(p3.coerce({1}), p3.coerce({2, 3}))))
+print("tropical:   5 + inf =", trop.format_element(trop.add(5, ar.INF)))
+print("tropical:   5 * 7   =", trop.format_element(trop.mul(5, 7)), " (integer sum)")
+
+
+def inverse(sr, value):
+    """The multiplicative inverse as text, or None when value is not a unit."""
+    inv = sr.unit_inverse(sr.coerce(value))
+    return None if inv is None else sr.format_element(inv)
+
 
 # units: which elements have a multiplicative inverse?
 print("\nunits:")
-print("  tropical 5    ->", trop.element(5).inverse())
-print("  naturals 2    ->", nat.element(2).inverse())
-print("  powerset {1}  ->", p3.element({1}).inverse())
-print("  powerset top  ->", p3.element({1, 2, 3}).inverse())
+print("  tropical 5    ->", inverse(trop, 5))
+print("  naturals 2    ->", inverse(nat, 2))
+print("  powerset {1}  ->", inverse(p3, {1}))
+print("  powerset top  ->", inverse(p3, {1, 2, 3}))
 
 # --- user-defined semirings from operation tables ----------------------------
 

@@ -71,14 +71,12 @@ from .nilpotency import (
 from .semirings import (
     INF,
     AxiomReport,
-    Element,
     FiniteTables,
     OrthogonalDecomposition,
     Semiring,
     boolean,
     chain,
     format_tables,
-    list_idempotents,
     naturals,
     parse_semiring,
     parse_tables,

@@ -29,6 +29,9 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 
+#: Largest carrier whose subsets orth_decomp_search will walk.
+MAX_SEARCH_CARRIER = 16
+
 
 def _require_finite(semiring):
     if not semiring.is_finite:
@@ -131,7 +134,7 @@ def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
     return found
 
 
-def orth_decomp_search(semiring, max_carrier=16):
+def orth_decomp_search(semiring):
     """Every orthogonal decomposition of 1, by exhaustive subset search.
 
     Searches depth-first over the nonzero carrier in carrier order, extending
@@ -143,10 +146,10 @@ def orth_decomp_search(semiring, max_carrier=16):
     """
     _require_finite(semiring)
     semiring.ensure_nondegenerate()
-    if semiring.size > max_carrier:
+    if semiring.size > MAX_SEARCH_CARRIER:
         raise BudgetExceededError(
             f"carrier of {semiring.descriptor()} has {semiring.size} elements, "
-            f"over the subset-search cap of {max_carrier}",
+            f"over the subset-search cap of {MAX_SEARCH_CARRIER}",
             required=2 ** (semiring.size - 1),
         )
     add, mul, zero, one = semiring.add, semiring.mul, semiring.zero, semiring.one

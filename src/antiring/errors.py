@@ -25,9 +25,9 @@ class PreconditionError(AntiringError):
 class NotInvertibleError(AntiringError):
     """The matrix is not invertible; `reason` names the violated condition."""
 
-    def __init__(self, message, reason=None):
+    def __init__(self, message, reason):
         super().__init__(message)
-        self.reason = reason if reason is not None else message
+        self.reason = reason
 
 
 class NotNilpotentError(AntiringError):

@@ -304,7 +304,9 @@ def parse_matrix(text, base_dir="."):
         if len(toks) != n:
             raise FormatError(f"row {r} has {len(toks)} entries, expected {n}")
         rows.append(tuple(semiring.parse_element(t) for t in toks))
-    return Matrix(semiring, rows)
+    # every entry is a payload parse_element has already checked
+    semiring.ensure_nondegenerate()
+    return Matrix._make(semiring, tuple(rows))
 
 
 def parse_matrix_file(path):

@@ -159,7 +159,7 @@ def nilpotency_index(matrix):
     """
     sr = matrix.semiring
     if sr.is_entire:
-        return max(_nilpotent_levels(matrix)) + 1
+        return max(_nilpotent_levels(matrix, "nilpotency_index")) + 1
     sr.ensure_nilpotent_free()
     squares = [matrix]  # squares[k] = A^(2^k)
     while not squares[-1].is_zero():
@@ -176,17 +176,17 @@ def nilpotency_index(matrix):
     return e + 1
 
 
-def _nilpotent_levels(matrix):
+def _nilpotent_levels(matrix, caller):
     """The levels of D(A), 0-based by vertex.
 
-    Carries the preconditions of :func:`triangularize`, in its order: an
-    entire semiring, an antiring without nonzero nilpotents, then an acyclic
-    digraph (else NotNilpotentError).
+    Carries the preconditions of the public function ``caller``, in its
+    order: an entire semiring, an antiring without nonzero nilpotents, then
+    an acyclic digraph (else NotNilpotentError).
     """
     sr = matrix.semiring
     if not sr.is_entire:
         raise PreconditionError(
-            f"triangularize needs an entire semiring; {sr.descriptor()} has zero divisors"
+            f"{caller} needs an entire semiring; {sr.descriptor()} has zero divisors"
         )
     sr.ensure_nilpotent_free()
     level = _support_levels(matrix)
@@ -204,5 +204,5 @@ def triangularize(matrix):
     defined over entire semirings, where nilpotent matrices are exactly those
     with acyclic digraphs.
     """
-    p = _level_order(_nilpotent_levels(matrix)).inverse()
+    p = _level_order(_nilpotent_levels(matrix, "triangularize")).inverse()
     return conjugate_by_permutation(matrix, p), p

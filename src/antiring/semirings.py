@@ -6,6 +6,11 @@ Payloads are plain hashable Python values (ints, frozensets, ``math.inf``),
 so structural ``==`` is exact equality in the carrier.  All instances are
 immutable and safe to share.
 
+Each carrier fact is stated once.  ``contains`` is the one membership rule:
+``coerce`` and ``parse_element`` both end in it, and a subclass only says how
+a literal reads (``_read``).  Two semirings are equal iff their descriptors
+are, except that a table semiring is identified by its operation tables.
+
 Each semiring also owns its atoms of 1 (:attr:`Semiring.atoms`): the maximal
 orthogonal decomposition of 1, along which S splits as the product of the
 e*S.  It is a fact about the carrier alone, built and validated once per
@@ -33,10 +38,9 @@ class Semiring:
     """Base class for concrete commutative semirings.
 
     Two instances compare equal iff they describe the same carrier and
-    operations; elements of unequal semirings never combine.
+    operations; matrices over unequal semirings never combine.
     """
 
-    kind = "abstract"
     is_finite = False
     size = None
 
@@ -48,10 +52,11 @@ class Semiring:
     _atoms = None
 
     def _key(self):
-        raise NotImplementedError
+        return self.descriptor()
 
     def __eq__(self, other):
-        return isinstance(other, Semiring) and self._key() == other._key()
+        # the built-ins are cached singletons: identity settles most comparisons
+        return self is other or (isinstance(other, Semiring) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -97,9 +102,6 @@ class Semiring:
     def sort_key(self, value):
         """Key realizing the canonical carrier order."""
         return value
-
-    def element(self, value):
-        return Element(self, value)
 
     # --- units ---
 
@@ -172,63 +174,15 @@ class Semiring:
     #: The text of one payload; ``parse_element`` reads it back.
     format_element = str
 
+    def _read(self, token):
+        """The payload a literal names, before the membership check."""
+        return _parse_int(token, self.descriptor())
+
     def parse_element(self, token):
-        raise NotImplementedError
-
-
-class Element:
-    """A single carrier value tagged with its semiring.
-
-    Supports ``+`` and ``*`` with same-semiring operands; mixing semirings
-    raises ValueError.
-    """
-
-    __slots__ = ("semiring", "value")
-
-    def __init__(self, semiring, value):
-        self.semiring = semiring
-        self.value = semiring.coerce(value)
-
-    def _same(self, other):
-        if not isinstance(other, Element):
-            raise TypeError(f"cannot combine Element with {type(other).__name__}")
-        if self.semiring != other.semiring:
-            raise ValueError(
-                f"semiring mismatch: {self.semiring.descriptor()} vs "
-                f"{other.semiring.descriptor()}"
-            )
-
-    def __add__(self, other):
-        self._same(other)
-        return Element(self.semiring, self.semiring.add(self.value, other.value))
-
-    def __mul__(self, other):
-        self._same(other)
-        return Element(self.semiring, self.semiring.mul(self.value, other.value))
-
-    def is_unit(self):
-        return self.semiring.unit_inverse(self.value) is not None
-
-    def inverse(self):
-        """The multiplicative inverse as an Element, or None."""
-        inv = self.semiring.unit_inverse(self.value)
-        return None if inv is None else Element(self.semiring, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.semiring == other.semiring
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.semiring, self.value))
-
-    def __repr__(self):
-        return f"Element({self.semiring.descriptor()}, {self})"
-
-    def __str__(self):
-        return self.semiring.format_element(self.value)
+        value = self._read(token)
+        if not self.contains(value):
+            raise FormatError(f"{token} is not an element of {self.descriptor()}")
+        return value
 
 
 class OrthogonalDecomposition:
@@ -306,7 +260,6 @@ class Chain(Semiring):
     (accepted here, rejected by matrix operations).
     """
 
-    kind = "chain"
     is_finite = True
     is_entire = True
     is_nilpotent_free = True
@@ -321,9 +274,6 @@ class Chain(Semiring):
         self.add = max
         self.mul = min
 
-    def _key(self):
-        return ("chain", self.q)
-
     def descriptor(self):
         return "boolean" if self.q == 2 else f"chain:{self.q}"
 
@@ -332,12 +282,6 @@ class Chain(Semiring):
 
     def contains(self, value):
         return isinstance(value, int) and 0 <= value < self.q
-
-    def parse_element(self, token):
-        v = _parse_int(token, self.descriptor())
-        if not 0 <= v < self.q:
-            raise FormatError(f"{v} out of range for {self.descriptor()}")
-        return v
 
 
 class Powerset(Semiring):
@@ -348,7 +292,6 @@ class Powerset(Semiring):
     only when a = b = full set.  Canonical order is by characteristic bitmask.
     """
 
-    kind = "powerset"
     is_finite = True
     is_nilpotent_free = True
 
@@ -361,9 +304,6 @@ class Powerset(Semiring):
         self.one = frozenset(range(1, m + 1))
         self.add = frozenset.union
         self.mul = frozenset.intersection
-
-    def _key(self):
-        return ("powerset", self.m)
 
     def descriptor(self):
         return f"powerset:{self.m}"
@@ -394,22 +334,17 @@ class Powerset(Semiring):
     def format_element(self, value):
         return "{" + ",".join(str(x) for x in sorted(value)) + "}"
 
-    def parse_element(self, token):
+    def _read(self, token):
         if not (token.startswith("{") and token.endswith("}")):
             raise FormatError(f"bad subset literal {token!r} (expected e.g. {{1,3}})")
-        body = token[1:-1]
-        items = frozenset(
-            _parse_int(t, "subset member") for t in body.split(",") if t.strip()
+        return frozenset(
+            _parse_int(t, "subset member") for t in token[1:-1].split(",") if t.strip()
         )
-        if not self.contains(items):
-            raise FormatError(f"{token} is not a subset of {{1..{self.m}}}")
-        return items
 
 
 class Naturals(Semiring):
     """Nonnegative integers with ordinary + and *: an infinite entire antiring."""
 
-    kind = "naturals"
     is_entire = True
     is_nilpotent_free = True
 
@@ -419,20 +354,11 @@ class Naturals(Semiring):
         self.add = int.__add__
         self.mul = int.__mul__
 
-    def _key(self):
-        return ("naturals",)
-
     def descriptor(self):
         return "naturals"
 
     def contains(self, value):
         return isinstance(value, int) and value >= 0
-
-    def parse_element(self, token):
-        v = _parse_int(token, "naturals")
-        if v < 0:
-            raise FormatError(f"{v} is negative; not in naturals")
-        return v
 
 
 def _minplus_mul(a, b):
@@ -448,7 +374,6 @@ class MinPlus(Semiring):
     exact; every finite payload is a unit with inverse -x.
     """
 
-    kind = "tropical"
     is_entire = True
     is_nilpotent_free = True
 
@@ -458,23 +383,11 @@ class MinPlus(Semiring):
         self.add = min
         self.mul = _minplus_mul
 
-    def _key(self):
-        return ("tropical",)
-
     def descriptor(self):
         return "tropical"
 
     def contains(self, value):
         return value == INF or isinstance(value, int)
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, float) and value == INF:
-            value = INF
-        if not self.contains(value):
-            raise ValueError(f"{value!r} is not an element of tropical")
-        return value
 
     def unit_inverse(self, value):
         return None if value == INF else -value
@@ -482,10 +395,8 @@ class MinPlus(Semiring):
     def format_element(self, value):
         return "inf" if value == INF else str(value)
 
-    def parse_element(self, token):
-        if token == "inf":
-            return INF
-        return _parse_int(token, "tropical")
+    def _read(self, token):
+        return INF if token == "inf" else super()._read(token)
 
 
 @dataclass(frozen=True)
@@ -638,7 +549,6 @@ class TableSemiring(Semiring):
     axioms.
     """
 
-    kind = "table"
     is_finite = True
 
     def __init__(self, tables, source=None):
@@ -731,12 +641,6 @@ class TableSemiring(Semiring):
             self._units = units
         return self._units.get(value)
 
-    def parse_element(self, token):
-        v = _parse_int(token, "table index")
-        if not 0 <= v < self.size:
-            raise FormatError(f"index {v} out of range for {self.descriptor()}")
-        return v
-
 
 # cached built-in constructors: semirings are value objects, sharing is free
 
@@ -771,16 +675,6 @@ def tropical():
 
 def table_semiring(tables, source=None):
     return TableSemiring(tables, source)
-
-
-def list_idempotents(semiring):
-    """All x with x*x = x, in canonical carrier order (finite semirings only)."""
-    if not semiring.is_finite:
-        raise UnsupportedOperationError(
-            f"cannot list idempotents of infinite {semiring.descriptor()}"
-        )
-    mul = semiring.mul
-    return [Element(semiring, x) for x in semiring.elements() if mul(x, x) == x]
 
 
 def to_tables(semiring):

@@ -27,14 +27,12 @@ certifies the sharpness of both color counts.
 import itertools
 import math
 
-from .errors import BudgetExceededError, NotNilpotentError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .matrices import Matrix
-from .nilpotency import (
-    _nilpotent_levels,
-    complete_digraph,
-    is_nilpotent,
-    transitive_tournament,
-)
+from .nilpotency import _nilpotent_levels, complete_digraph, transitive_tournament
+
+#: Largest search space min_coloring_search will walk.
+MAX_COLORING_STATES = 10**8
 
 
 class EdgeColoring:
@@ -156,22 +154,23 @@ def complete_digraph_coloring(n):
     return EdgeColoring(g, colors, big_n)
 
 
-def min_coloring_search(g, num_colors, max_states=10**8):
+def min_coloring_search(g, num_colors):
     """Exhaustive search for a path-incidence-free coloring with <= num_colors.
 
     Returns an EdgeColoring or None; None certifies that the digraph needs
     more colors.  Backtracking over the sorted edge list with incidence
     pruning and ascending first-use of new colors; the first solution in
     canonical order is returned.  Refuses outright (never truncates) when
-    num_colors^edges exceeds max_states.
+    num_colors^edges exceeds MAX_COLORING_STATES.
     """
     edges = sorted(g.edges)
     if num_colors < 0:
         raise ValueError("color count must be >= 0")
     states = num_colors ** len(edges) if edges else 1
-    if states > max_states:
+    if states > MAX_COLORING_STATES:
         raise BudgetExceededError(
-            f"search space {num_colors}^{len(edges)} = {states} exceeds budget {max_states}",
+            f"search space {num_colors}^{len(edges)} = {states} "
+            f"exceeds budget {MAX_COLORING_STATES}",
             required=states,
         )
     # multiplicity counts: several in-edges (or out-edges) of a vertex may
@@ -284,11 +283,7 @@ def decompose_nilpotent(matrix):
     consecutive, so every term of a squared summand has a zero factor:
     square-zeroness needs no entireness, only the levels do.
     """
-    if matrix.n == 1:
-        if not is_nilpotent(matrix):
-            raise NotNilpotentError("matrix is not nilpotent")
-        return SquareZeroDecomposition(matrix, ())
-    level = _nilpotent_levels(matrix)
+    level = _nilpotent_levels(matrix, "decompose_nilpotent")
     summands = _split_by_color(matrix, lambda i, j: _binary_color(level[i], level[j]))
     return SquareZeroDecomposition(matrix, summands)
 

@@ -20,18 +20,18 @@ def builtin(name):
 
 def random_value(semiring, rng):
     """A random payload, zero included."""
-    kind = semiring.kind
-    if kind == "chain":
+    family = type(semiring).__name__
+    if family == "Chain":
         return rng.randrange(semiring.q)
-    if kind == "powerset":
+    if family == "Powerset":
         return frozenset(x for x in range(1, semiring.m + 1) if rng.random() < 0.5)
-    if kind == "naturals":
+    if family == "Naturals":
         return rng.randrange(0, 8)
-    if kind == "tropical":
+    if family == "MinPlus":
         return ar.INF if rng.random() < 0.3 else rng.randrange(-9, 10)
-    if kind == "table":
+    if family == "TableSemiring":
         return rng.randrange(semiring.size)
-    raise AssertionError(kind)
+    raise AssertionError(family)
 
 
 def random_nonzero(semiring, rng):
@@ -73,6 +73,12 @@ def relabeled(semiring, labels):
         zero_index=index[semiring.zero], one_index=index[semiring.one],
     ))
     return ts, index
+
+
+def carrier(name):
+    """A built-in by name, or "table": chain:3 relabeled so that zero is index 2
+    and one is index 1."""
+    return relabeled(ar.chain(3), (2, 0, 1))[0] if name == "table" else builtin(name)
 
 
 def random_nilpotent(semiring, n, rng, density=0.5):

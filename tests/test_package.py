@@ -45,7 +45,7 @@ def test_demo_runs(demo):
 #: The public names of the package.  A name leaves only on purpose.
 PUBLIC_API = [
     "AntiringError", "AxiomReport", "BudgetExceededError", "CyclicDigraphError",
-    "DegenerateSemiringError", "Digraph", "EdgeColoring", "Element", "EnumerationBudget",
+    "DegenerateSemiringError", "Digraph", "EdgeColoring", "EnumerationBudget",
     "FiniteTables", "FormatError", "GlCoordinates", "INF", "IntPolynomial",
     "InvertibleFactorization", "MAX_COUNT_N", "Matrix", "NotInvertibleError",
     "NotNilpotentError", "OrthogonalDecomposition", "Partition", "Permutation",
@@ -56,7 +56,7 @@ PUBLIC_API = [
     "decompose_trace_zero", "digraph_of", "enumerate_gl", "enumeration", "errors",
     "factorize_invertible", "format_matrix", "format_tables", "gl_decode", "gl_encode",
     "invert", "invertibility", "invertibility_failure", "is_acyclic", "is_invertible",
-    "is_nilpotent", "list_idempotents", "longest_path", "matrices",
+    "is_nilpotent", "longest_path", "matrices",
     "max_orthogonal_decomposition", "min_coloring_search", "naturals", "nilpotency",
     "nilpotency_index", "nilpotent_count_polynomial", "orth_decomp_search", "parse_matrix",
     "parse_matrix_file", "parse_semiring", "parse_tables", "parse_tables_file", "partitions",

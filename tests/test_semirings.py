@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
 import antiring as ar
-from antiring.errors import DegenerateSemiringError, FormatError, UnsupportedOperationError
+from antiring.errors import DegenerateSemiringError, FormatError
 
-from conftest import BUILTINS, builtin, random_value
+from conftest import BUILTINS, builtin, carrier, random_value
 
 BOOLEAN_TABLES = ar.FiniteTables(
     size=2,
@@ -22,15 +23,6 @@ MOD2_TABLES = ar.FiniteTables(
     zero_index=0,
     one_index=1,
 )
-
-MOD4_TABLES = ar.FiniteTables(
-    size=4,
-    add_table=tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)),
-    mul_table=tuple(tuple((a * b) % 4 for b in range(4)) for a in range(4)),
-    zero_index=0,
-    one_index=1,
-)
-
 
 def test_validate_boolean_tables_all_flags_true():
     report = ar.validate_axioms(BOOLEAN_TABLES)
@@ -106,44 +98,32 @@ def test_degenerate_semirings_validate_but_match_no_matrix():
 
 def test_chain_element_arithmetic():
     s = ar.chain(3)
-    assert (s.element(1) + s.element(2)).value == 2
-    assert (s.element(1) * s.element(2)).value == 1
+    assert s.add(1, 2) == 2
+    assert s.mul(1, 2) == 1
 
 
 def test_naturals_element_arithmetic():
     s = ar.naturals()
-    assert (s.element(2) + s.element(3)).value == 5
-    assert (s.element(2) * s.element(3)).value == 6
+    assert s.add(2, 3) == 5
+    assert s.mul(2, 3) == 6
 
 
 def test_tropical_element_arithmetic():
     s = ar.tropical()
-    assert (s.element(5) + s.element(ar.INF)).value == 5
-    assert (s.element(5) * s.element(7)).value == 12
+    assert s.add(5, ar.INF) == 5
+    assert s.mul(5, 7) == 12
     assert s.zero == ar.INF and s.one == 0
-
-
-def test_elements_of_different_semirings_never_combine():
-    a = ar.chain(3).element(1)
-    b = ar.powerset(2).element({1})
-    with pytest.raises(ValueError, match="mismatch"):
-        a + b
-    with pytest.raises(ValueError, match="mismatch"):
-        a * b
-    # two chains of different size are different semirings too
-    with pytest.raises(ValueError, match="mismatch"):
-        ar.chain(3).element(1) + ar.chain(4).element(1)
 
 
 def test_units():
     p2 = ar.powerset(2)
-    assert p2.element({1}).inverse() is None
-    top = p2.element({1, 2})
-    assert top.inverse() == top
-    assert ar.tropical().element(5).inverse().value == -5
-    assert ar.tropical().element(ar.INF).inverse() is None
-    assert ar.naturals().element(1).inverse().value == 1
-    assert ar.naturals().element(2).inverse() is None
+    assert p2.unit_inverse(frozenset({1})) is None
+    top = frozenset({1, 2})
+    assert p2.unit_inverse(top) == top
+    assert ar.tropical().unit_inverse(5) == -5
+    assert ar.tropical().unit_inverse(ar.INF) is None
+    assert ar.naturals().unit_inverse(1) == 1
+    assert ar.naturals().unit_inverse(2) is None
 
 
 def test_unit_inverse_symmetry_on_finite_builtins():
@@ -154,23 +134,6 @@ def test_unit_inverse_symmetry_on_finite_builtins():
             if b is not None:
                 assert sr.mul(a, b) == sr.one
                 assert sr.unit_inverse(b) == a
-
-
-def test_list_idempotents_powerset():
-    p2 = ar.powerset(2)
-    values = [e.value for e in ar.list_idempotents(p2)]
-    assert values == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-
-
-def test_list_idempotents_boolean_and_mod4():
-    assert [e.value for e in ar.list_idempotents(ar.boolean())] == [0, 1]
-    mod4 = ar.table_semiring(MOD4_TABLES)
-    assert [e.value for e in ar.list_idempotents(mod4)] == [0, 1]
-
-
-def test_list_idempotents_infinite_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        ar.list_idempotents(ar.naturals())
 
 
 def test_no_nonzero_nilpotents_in_finite_builtins():
@@ -232,10 +195,20 @@ def test_parse_semiring_descriptors():
     assert ar.parse_semiring("chain:2") is ar.boolean()
     assert ar.parse_semiring("chain:7").q == 7
     assert ar.parse_semiring("powerset:3").m == 3
-    assert ar.parse_semiring("naturals").kind == "naturals"
-    assert ar.parse_semiring("tropical").kind == "tropical"
+    assert ar.parse_semiring("naturals") is ar.naturals()
+    assert ar.parse_semiring("tropical") is ar.tropical()
     with pytest.raises(FormatError):
         ar.parse_semiring("octonions")
+
+
+def test_semiring_equality_follows_the_descriptor():
+    assert ar.parse_semiring("chain:2") == ar.boolean()
+    assert ar.chain(3) != ar.chain(4)
+    assert ar.powerset(1) != ar.boolean()
+    # an uncached instance equals the cached one and hashes alike
+    fresh = ar.semirings.Chain(3)
+    assert fresh is not ar.chain(3) and fresh == ar.chain(3)
+    assert hash(fresh) == hash(ar.chain(3))
 
 
 def test_element_parse_and_format():
@@ -256,10 +229,33 @@ def test_element_parse_and_format():
 
 def test_element_coercion_rejects_foreign_payloads():
     with pytest.raises(ValueError):
-        ar.chain(3).element(5)
+        ar.chain(3).coerce(5)
     with pytest.raises(ValueError):
-        ar.powerset(2).element({3})
+        ar.powerset(2).coerce({3})
     with pytest.raises(ValueError):
-        ar.naturals().element(-1)
-    # sets are normalized to frozensets
-    assert ar.powerset(2).element({1}).value == frozenset({1})
+        ar.naturals().coerce(-1)
+    with pytest.raises(ValueError, match="is not an element of tropical"):
+        ar.tropical().coerce(1.5)
+    # sets are normalized to frozensets, bools to ints, a float infinity passes
+    assert ar.powerset(2).coerce({1}) == frozenset({1})
+    assert type(ar.chain(3).coerce(True)) is int
+    assert ar.tropical().coerce(float("inf")) == ar.INF
+
+
+#: One token per carrier that names no element of it (tropical holds every integer).
+NON_MEMBERS = {
+    "boolean": "2", "chain3": "3", "powerset2": "{3}", "naturals": "-1",
+    "tropical": "1.5", "table": "3",
+}
+
+#: Sample payloads of the infinite carriers.
+SAMPLES = {"naturals": [0, 1, 7], "tropical": [ar.INF, 0, 7, -3]}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MEMBERS))
+def test_parse_element_reads_back_every_format_and_names_the_carrier(name):
+    sr = carrier(name)
+    for v in sr.elements() if sr.is_finite else SAMPLES[name]:
+        assert sr.parse_element(sr.format_element(v)) == v
+    with pytest.raises(FormatError, match=re.escape(sr.descriptor())):
+        sr.parse_element(NON_MEMBERS[name])

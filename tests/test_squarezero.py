@@ -107,7 +107,7 @@ def test_min_coloring_search_empty_graph_zero_colors():
 def test_min_coloring_search_budget_guard():
     g = ar.complete_digraph(4)  # 12 edges
     with pytest.raises(BudgetExceededError) as exc:
-        ar.min_coloring_search(g, 10, max_states=10**8)
+        ar.min_coloring_search(g, 10)
     assert exc.value.required == 10**12
 
 
@@ -168,6 +168,13 @@ def test_decompose_one_by_one_zero():
     for sr in (ar.boolean(), ar.tropical()):
         assert len(ar.decompose_nilpotent(ar.Matrix.zeros(sr, 1))) == 0
         assert len(ar.decompose_trace_zero(ar.Matrix.zeros(sr, 1))) == 0
+
+
+def test_decompose_nilpotent_refuses_zero_divisors_at_every_n():
+    # the levels need an entire carrier, whatever the dimension
+    for n in (1, 2):
+        with pytest.raises(PreconditionError, match="decompose_nilpotent"):
+            ar.decompose_nilpotent(ar.Matrix.zeros(ar.powerset(2), n))
 
 
 def test_decompose_shift_n8():
