@@ -90,7 +90,17 @@ class Matrix:
 
     def __init__(self, semiring, rows):
         semiring.ensure_nondegenerate()
-        rows = tuple(tuple(semiring.coerce(v) for v in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
+        # each distinct object is checked once, in row-major order of first
+        # appearance; keyed by identity, never by equality (1.0 == 1), and
+        # the rows keep every keyed object alive.  The semiring's own zero
+        # object is a payload already, and most entries of a sparse matrix.
+        z = semiring.zero
+        given = {id(v): v for row in rows for v in row if v is not z}
+        coerced = {k: semiring.coerce(v) for k, v in given.items()}
+        if any(coerced[k] is not v for k, v in given.items()):
+            coerced[id(z)] = z
+            rows = tuple(tuple(coerced[id(v)] for v in row) for row in rows)
         n = len(rows)
         if n < 1:
             raise ValueError("matrix needs n >= 1")

@@ -16,9 +16,17 @@ level + 1, ordering the vertices by (level, index) triangularizes it, and the
 levels label the square-zero split (``squarezero``).  The public digraph
 functions run the same pass over a ``Digraph``'s edges.
 
-Over non-entire antirings the pattern does not decide (a 2-cycle whose two
-entries multiply to zero is nilpotent), so the matrix powers do.  The power
-test A^n = 0 is complete whenever the semiring is zerosumfree with no nonzero
+A carrier whose atoms of 1 all have entire components
+(``Semiring.has_entire_components``: every entire carrier, with the one atom
+1, and every ``powerset:m``) splits as the product of the e*S, and A^h = 0
+iff every layer (e*A)^h = e*A^h is zero.  So the level pass runs once per
+layer, on the nonzeros (j, e*v) with e*v != 0 of each row: A is nilpotent
+iff every layer is acyclic, and its index is the highest level of any layer
++ 1.  The entire case is the one-layer case, read from ``nonzeros()`` as is.
+
+Over other carriers the pattern does not decide (a 2-cycle whose two entries
+multiply to zero is nilpotent), so the matrix powers do.  The power test
+A^n = 0 is complete whenever the semiring is zerosumfree with no nonzero
 nilpotent elements: a nonzero A^n would contain a length-n walk with nonzero
 entry product, the walk repeats a vertex, the cycle's product c has every
 power nonzero, and zerosumfreeness keeps every power of A nonzero from then
@@ -68,21 +76,22 @@ def digraph_of(matrix):
 
 
 def _levels(out):
-    """Kahn's pass over 0-based out-lists: each vertex's level, the most
-    edges on a path ending there, or None when there is a cycle.
+    """Kahn's pass over 0-based out-lists of (target, payload) pairs, the shape
+    of ``Matrix.nonzeros()``: each vertex's level, the most edges on a path
+    ending there, or None when there is a cycle.
 
     A vertex is taken once all its in-edges are, so its level is final by
     then; a loop keeps its vertex waiting forever, like any cycle.
     """
     indeg = [0] * len(out)
     for targets in out:
-        for w in targets:
+        for w, _ in targets:
             indeg[w] += 1
     level = [0] * len(out)
     ready = [v for v, d in enumerate(indeg) if not d]
     for v in ready:  # grows while it is read
         up = level[v] + 1
-        for w in out[v]:
+        for w, _ in out[v]:
             if level[w] < up:
                 level[w] = up
             indeg[w] -= 1
@@ -95,7 +104,7 @@ def _digraph_levels(g):
     """The levels of g, 0-based by vertex, or None when g is cyclic."""
     out = [[] for _ in range(g.n)]
     for (i, j) in g.edges:
-        out[i - 1].append(j - 1)
+        out[i - 1].append((j - 1, None))
     return _levels(out)
 
 
@@ -130,37 +139,50 @@ def longest_path(g):
     return max(level)
 
 
-def _support_levels(matrix):
-    """The levels of D(A), read from ``Matrix.nonzeros()``, or None when cyclic."""
-    return _levels([[j for j, _ in row] for row in matrix.nonzeros()])
+def _layers(matrix):
+    """Per atom e of 1, the nonzeros of the layer e*A: row i keeps (j, e*v)
+    for each (j, v) of A's row with e*v != 0.  Under the one atom 1 the
+    layer is A's own ``nonzeros()``.  Yielded lazily, so a caller can stop
+    at the first cyclic layer.
+    """
+    sr = matrix.semiring
+    nonzeros = matrix.nonzeros()
+    parts = sr.atoms.parts
+    if len(parts) == 1:
+        yield nonzeros
+        return
+    mul, z = sr.mul, sr.zero
+    for e in parts:
+        yield [[(j, p) for j, v in row if (p := mul(e, v)) != z] for row in nonzeros]
 
 
 def is_nilpotent(matrix):
     """True iff A^n = 0 (n the dimension).
 
-    Requires a commutative antiring without nonzero nilpotent elements.  Over
-    entire semirings this is "the levels of the digraph exist"; elsewhere it
-    is the power test itself (see the module docstring).
+    Requires a commutative antiring without nonzero nilpotent elements.  When
+    the atoms of 1 have entire components this is "every layer's levels
+    exist"; elsewhere it is the power test itself (see the module docstring).
     """
     sr = matrix.semiring
     sr.ensure_nilpotent_free()
-    if sr.is_entire:
-        return _support_levels(matrix) is not None
+    if sr.has_entire_components:
+        return all(_levels(layer) is not None for layer in _layers(matrix))
     return (matrix ** matrix.n).is_zero()
 
 
 def nilpotency_index(matrix):
     """The least h >= 1 with A^h = 0.
 
-    Over entire semirings this is the highest level of the digraph + 1.
-    Elsewhere the squares A, A^2, A^4, ... are taken until one vanishes, and h
-    is located below it by binary lifting: at most 2*ceil(log2 h) matmuls, and
-    ceil(log2 n) to refuse a matrix whose powers never vanish.
+    When the atoms of 1 have entire components this is the highest level of
+    any layer + 1.  Elsewhere the squares A, A^2, A^4, ... are taken until
+    one vanishes, and h is located below it by binary lifting: at most
+    2*ceil(log2 h) matmuls, and ceil(log2 n) to refuse a matrix whose powers
+    never vanish.
     """
     sr = matrix.semiring
-    if sr.is_entire:
-        return max(_nilpotent_levels(matrix, "nilpotency_index")) + 1
     sr.ensure_nilpotent_free()
+    if sr.has_entire_components:
+        return max(max(level) for _, level in _nilpotent_layers(matrix, "nilpotency_index")) + 1
     squares = [matrix]  # squares[k] = A^(2^k)
     while not squares[-1].is_zero():
         if 1 << (len(squares) - 1) >= matrix.n:
@@ -176,23 +198,28 @@ def nilpotency_index(matrix):
     return e + 1
 
 
-def _nilpotent_levels(matrix, caller):
-    """The levels of D(A), 0-based by vertex.
+def _nilpotent_layers(matrix, caller):
+    """Each layer of A with its levels, 0-based by vertex: (nonzeros, level)
+    per atom of 1, in the atoms' order.
 
     Carries the preconditions of the public function ``caller``, in its
-    order: an entire semiring, an antiring without nonzero nilpotents, then
-    an acyclic digraph (else NotNilpotentError).
+    order: an antiring without nonzero nilpotents, atoms of 1 with entire
+    components, then acyclic layers (else NotNilpotentError).
     """
     sr = matrix.semiring
-    if not sr.is_entire:
-        raise PreconditionError(
-            f"{caller} needs an entire semiring; {sr.descriptor()} has zero divisors"
-        )
     sr.ensure_nilpotent_free()
-    level = _support_levels(matrix)
-    if level is None:
-        raise NotNilpotentError("matrix is not nilpotent")
-    return level
+    if not sr.has_entire_components:
+        raise PreconditionError(
+            f"{caller} needs atoms of 1 with entire components; "
+            f"{sr.descriptor()} has zero divisors inside one"
+        )
+    layers = []
+    for layer in _layers(matrix):
+        level = _levels(layer)
+        if level is None:
+            raise NotNilpotentError("matrix is not nilpotent")
+        layers.append((layer, level))
+    return layers
 
 
 def triangularize(matrix):
@@ -202,7 +229,13 @@ def triangularize(matrix):
     triangular; p maps each vertex to its position when the vertices are
     ordered by (level, index), the order of :func:`topological_order`.  Only
     defined over entire semirings, where nilpotent matrices are exactly those
-    with acyclic digraphs.
+    with acyclic digraphs; no single order serves every layer of a product.
     """
-    p = _level_order(_nilpotent_levels(matrix, "triangularize")).inverse()
+    sr = matrix.semiring
+    if not sr.is_entire:
+        raise PreconditionError(
+            f"triangularize needs an entire semiring; {sr.descriptor()} has zero divisors"
+        )
+    ((_, level),) = _nilpotent_layers(matrix, "triangularize")
+    p = _level_order(level).inverse()
     return conjugate_by_permutation(matrix, p), p

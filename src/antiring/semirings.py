@@ -15,6 +15,8 @@ Each semiring also owns its atoms of 1 (:attr:`Semiring.atoms`): the maximal
 orthogonal decomposition of 1, along which S splits as the product of the
 e*S.  It is a fact about the carrier alone, built and validated once per
 instance, and the matrix layers read it instead of working it out again.
+Next to it, :attr:`Semiring.has_entire_components` says whether every e*S is
+entire, which lets nilpotency split a matrix into one layer per atom.
 """
 
 import itertools
@@ -168,6 +170,15 @@ class Semiring:
                 f"{self.descriptor()} has zero divisors and names no atoms of 1"
             )
         return (self.one,)
+
+    @property
+    def has_entire_components(self):
+        """True when every component e*S of the atoms of 1 is entire.
+
+        Then S is the product of entire antirings, so a matrix is nilpotent
+        iff each layer e*A is.  An entire semiring is its one component.
+        """
+        return self.is_entire
 
     # --- text form of single elements ---
 
@@ -330,6 +341,9 @@ class Powerset(Semiring):
     def _atom_parts(self):
         # the singletons, in closed form: refining over 2^m idempotents does not scale
         return [frozenset([x]) for x in range(1, self.m + 1)]
+
+    # each component {x}*S = {{}, {x}} is the Boolean semiring
+    has_entire_components = True
 
     def format_element(self, value):
         return "{" + ",".join(str(x) for x in sorted(value)) + "}"
@@ -563,6 +577,7 @@ class TableSemiring(Semiring):
         self.mul = lambda a, b: mul_t[a][b]
         self._report = None
         self._units = None
+        self._entire_components = None
 
     def _key(self):
         return (
@@ -626,6 +641,22 @@ class TableSemiring(Semiring):
     @property
     def is_entire(self):
         return self.axiom_report.is_entire
+
+    @property
+    def has_entire_components(self):
+        """Checked once from the tables: for no atom e are there x, y with
+        e*x != 0, e*y != 0 and e*x*y = 0."""
+        if self._entire_components is None:
+            mul, zero = self.mul, self.zero
+            # the nonzero elements e*x of each component e*S
+            components = (
+                {p for x in range(self.size) if (p := mul(e, x)) != zero}
+                for e in self.atoms.parts
+            )
+            self._entire_components = self.is_entire or all(
+                mul(x, y) != zero for nonzero in components for x in nonzero for y in nonzero
+            )
+        return self._entire_components
 
     @property
     def is_nilpotent_free(self):

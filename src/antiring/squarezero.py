@@ -10,18 +10,28 @@ so a decomposition colors only the support: O(n^2) to read it with
 matrix product.  The verification reads each summand's own nonzeros the same
 way.
 
-* Nilpotent matrices over entire antirings: with level(i) the most edges on
-  a path of the digraph ending at vertex i, edge (i, j) gets the highest bit
-  where level(i) and level(j) differ.  The levels run 0..h-1 for h the
-  nilpotency index, so that is at most ceil(log2 h) <= ceil(log2 n) colors.
-* Trace-zero matrices over any antiring: vertex i gets the i-th
-  ceil(N/2)-subset S_i of {1..N} in lexicographic order, and edge (i, j)
-  gets min(S_i - S_j), at most N = tracezero_capacity(n) colors.
+* Nilpotent matrices over carriers whose atoms of 1 have entire components
+  (every entire antiring and every ``powerset:m``): within each layer e*A
+  (``nilpotency``), with level(i) the most edges on a path of the layer
+  ending at vertex i, edge (i, j) gets the highest bit where level(i) and
+  level(j) differ.  The levels run 0..h-1 for h the nilpotency index, so
+  that is at most ceil(log2 h) <= ceil(log2 n) colors.  The layers are
+  merged color by color, summand c holding the sum of the e*A(i, j) colored
+  c; products across layers vanish because e*e' = 0.
+* Trace-zero matrices over any antiring: the vertices of the support's
+  underlying graph are colored greedily in order of largest degree
+  (Welsh-Powell), ties by index, each taking the smallest color free among
+  its neighbors.  With k colors used, vertex i gets the color(i)-th
+  ceil(N/2)-subset S of {1..N} in lexicographic order, N =
+  tracezero_capacity(k), and edge (i, j) gets min(S_i - S_j): at most
+  N <= tracezero_capacity(n) colors, and adjacent vertices never share a
+  label.
 
 ``tournament_coloring`` and ``complete_digraph_coloring`` apply the same two
 formulas to every edge of the transitive tournament (where vertex i has level
-i - 1) and of the complete digraph, and an exhaustive backtracking search
-certifies the sharpness of both color counts.
+i - 1) and of the complete digraph (where the greedy order is the index
+order, so vertex i gets S_i), and an exhaustive backtracking search certifies
+the sharpness of both color counts.
 """
 
 import itertools
@@ -29,7 +39,7 @@ import math
 
 from .errors import BudgetExceededError, PreconditionError
 from .matrices import Matrix
-from .nilpotency import _nilpotent_levels, complete_digraph, transitive_tournament
+from .nilpotency import _nilpotent_layers, complete_digraph, transitive_tournament
 
 #: Largest search space min_coloring_search will walk.
 MAX_COLORING_STATES = 10**8
@@ -251,24 +261,25 @@ class SquareZeroDecomposition:
         return f"SquareZeroDecomposition({len(self.summands)} summands, n={self.source.n})"
 
 
-def _split_by_color(matrix, color):
-    """The nonzeros of the matrix bucketed by color(i, j) (0-based indices):
-    one summand per color that occurs, in ascending color order."""
-    z = matrix.semiring.zero
+def _split_by_color(matrix, layers):
+    """The nonzeros of each (rows, color) layer bucketed by color(i, j)
+    (0-based indices), entries landing on the same place of one class
+    summed: one summand per color that occurs, in ascending color order."""
+    sr = matrix.semiring
+    z, add = sr.zero, sr.add
     n = matrix.n
     classes = {}  # color -> {row index: row entries}
-    for i, row in enumerate(matrix.nonzeros()):
-        for j, v in row:
-            rows = classes.setdefault(color(i, j), {})
-            if i not in rows:
-                rows[i] = [z] * n
-            rows[i][j] = v
+    for nonzeros, color in layers:
+        for i, row in enumerate(nonzeros):
+            for j, v in row:
+                rows = classes.setdefault(color(i, j), {})
+                if i not in rows:
+                    rows[i] = [z] * n
+                out = rows[i]
+                out[j] = v if out[j] == z else add(out[j], v)
     zero_row = (z,) * n
     return [
-        Matrix._make(
-            matrix.semiring,
-            tuple(tuple(rows[i]) if i in rows else zero_row for i in range(n)),
-        )
+        Matrix._make(sr, tuple(tuple(rows[i]) if i in rows else zero_row for i in range(n)))
         for _, rows in sorted(classes.items())
     ]
 
@@ -277,24 +288,48 @@ def decompose_nilpotent(matrix):
     """Split a nilpotent matrix into at most ceil(log2 h) square-zero summands,
     h its nilpotency index (so at most ceil(log2 n)).
 
-    Edge (i, j) of the support gets ``_binary_color(level(i), level(j))``,
-    with level the most edges on a path ending at a vertex; every edge raises
-    the level, and the levels run 0..h-1.  Inside one class no two edges are
-    consecutive, so every term of a squared summand has a zero factor:
-    square-zeroness needs no entireness, only the levels do.
+    In each layer e*A, edge (i, j) gets ``_binary_color(level(i), level(j))``,
+    with level the most edges on a path of the layer ending at a vertex;
+    every edge raises the level, and the levels run 0..h-1.  Inside one class
+    no two edges of a layer are consecutive and two layers multiply to zero,
+    so every term of a squared summand has a zero factor.  Needs the atoms of
+    1 to have entire components, so that the layers' levels exist.
     """
-    level = _nilpotent_levels(matrix, "decompose_nilpotent")
-    summands = _split_by_color(matrix, lambda i, j: _binary_color(level[i], level[j]))
-    return SquareZeroDecomposition(matrix, summands)
+    layers = [
+        (nonzeros, lambda i, j, level=level: _binary_color(level[i], level[j]))
+        for nonzeros, level in _nilpotent_layers(matrix, "decompose_nilpotent")
+    ]
+    return SquareZeroDecomposition(matrix, _split_by_color(matrix, layers))
+
+
+def _greedy_colors(nonzeros):
+    """A proper vertex coloring 0, 1, ... of the underlying graph of a
+    loopless support, greedy in order of largest degree, ties by index."""
+    n = len(nonzeros)
+    adjacent = [set() for _ in range(n)]
+    for i, row in enumerate(nonzeros):
+        for j, _ in row:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+    color = [None] * n
+    for v in sorted(range(n), key=lambda v: -len(adjacent[v])):  # stable: ties by index
+        taken = {color[w] for w in adjacent[v]}
+        c = 0
+        while c in taken:
+            c += 1
+        color[v] = c
+    return color
 
 
 def decompose_trace_zero(matrix):
     """Split a trace-zero matrix into at most tracezero_capacity(n) square-zero
     summands, with no entireness assumption.
 
-    Edge (i, j) of the support gets ``_subset_color(S_i, S_j)``.  A nonzero
-    diagonal entry is rejected (its digraph has a loop, so the matrix is not
-    a sum of nilpotent matrices at all).
+    With color(i) from a greedy proper coloring of the support's underlying
+    graph and S the first ``_subset_labels`` of the colors used, edge (i, j)
+    gets ``_subset_color(S[color(i)], S[color(j)])``.  A nonzero diagonal
+    entry is rejected (its digraph has a loop, so the matrix is not a sum of
+    nilpotent matrices at all).
     """
     sr = matrix.semiring
     sr.ensure_nilpotent_free()
@@ -305,6 +340,10 @@ def decompose_trace_zero(matrix):
                 f"diagonal entry A({i},{i}) = {sr.format_element(v)} is nonzero; "
                 f"only trace-zero matrices decompose into square-zero summands"
             )
-    _, sets = _subset_labels(matrix.n)
-    summands = _split_by_color(matrix, lambda i, j: _subset_color(sets[i], sets[j]))
-    return SquareZeroDecomposition(matrix, summands)
+    nonzeros = matrix.nonzeros()
+    color = _greedy_colors(nonzeros)
+    _, sets = _subset_labels(max(color) + 1)
+    labels = [sets[c] for c in color]
+    return SquareZeroDecomposition(matrix, _split_by_color(
+        matrix, [(nonzeros, lambda i, j: _subset_color(labels[i], labels[j]))]
+    ))

@@ -75,6 +75,52 @@ def relabeled(semiring, labels):
     return ts, index
 
 
+def layered_matrices(rng, trials):
+    """Seeded matrices with n <= 7 over powerset:2, powerset:3 and a relabeled
+    table of powerset:3, built per atom of 1.
+
+    Two in three keep atom t on (i, j) only when i precedes j in a random
+    order of t's own: nilpotent, while the digraph of the whole matrix is
+    usually cyclic.  One in four of those then gets a 2-cycle or a loop
+    inside one atom, and the rest are drawn at random.
+    """
+    p3t, index = relabeled(ar.powerset(3), (5, 2, 7, 0, 3, 6, 1, 4))
+    for sr, table in ((ar.powerset(2), None), (ar.powerset(3), None), (ar.powerset(3), p3t)):
+        m = sr.m
+        for trial in range(trials):
+            n = rng.randint(1, 7)
+            rows = [[{t for t in range(1, m + 1) if rng.random() < 0.5} for _ in range(n)]
+                    for _ in range(n)]
+            if trial % 3:
+                ranks = [rng.sample(range(n), n) for _ in range(m)]
+                for i, row in enumerate(rows):
+                    for j, v in enumerate(row):
+                        v &= {t for t in v if ranks[t - 1][i] < ranks[t - 1][j]}
+            if trial % 3 == 2 and trial % 2:
+                t, i, j = rng.randint(1, m), rng.randrange(n), rng.randrange(n)
+                rows[i][j].add(t)
+                rows[j][i].add(t)
+            rows = [[frozenset(v) for v in row] for row in rows]
+            if table is None:
+                yield ar.Matrix(sr, rows)
+            else:
+                yield ar.Matrix(table, [[index[v] for v in row] for row in rows])
+
+
+def five_element_lattice():
+    """The lattice 0 < a, b < a|b < 1 under join and meet, as anonymous tables:
+    an antiring with zero divisors (a*b = 0) whose only atom of 1 is 1, so
+    its one component, itself, is not entire.  Payloads: 0, a, b, a|b, 1."""
+    sets = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset({1, 2, 3})]
+    index = {s: k for k, s in enumerate(sets)}
+    return ar.table_semiring(ar.FiniteTables(
+        size=5,
+        add_table=tuple(tuple(index[x | y] for y in sets) for x in sets),
+        mul_table=tuple(tuple(index[x & y] for y in sets) for x in sets),
+        zero_index=0, one_index=4,
+    ), source="lattice5")
+
+
 def carrier(name):
     """A built-in by name, or "table": chain:3 relabeled so that zero is index 2
     and one is index 1."""

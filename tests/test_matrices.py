@@ -148,6 +148,45 @@ def test_shape_and_semiring_mismatches():
         a2**-1
 
 
+def test_construction_checks_objects_not_equal_values():
+    # 1.0 == 1 and frozenset({1.0}) == frozenset({1}), yet neither is a payload
+    with pytest.raises(ValueError, match="1.0 is not an element of chain:3"):
+        ar.Matrix(ar.chain(3), [[1, 1.0], [0, 1]])
+    with pytest.raises(ValueError, match="powerset:2"):
+        ar.Matrix(ar.powerset(2), [[frozenset({1}), frozenset({1.0})], [frozenset(), frozenset({1})]])
+    # next to the semiring's own zero object, an equal foreign zero
+    with pytest.raises(ValueError, match="0.0 is not an element of chain:3"):
+        ar.Matrix(ar.chain(3), [[0, 0.0], [0, 0]])
+
+
+def test_construction_normalizes_every_position():
+    b = ar.boolean()
+    a = ar.Matrix(b, [[True, False], [True, True]])
+    assert all(type(v) is int for row in a.rows for v in row)
+    assert a.rows == ((1, 0), (1, 1))
+    p2 = ar.powerset(2)
+    one = {1}  # the same set object at every position
+    a = ar.Matrix(p2, [[one, set()], [one, p2.zero]])
+    assert all(type(v) is frozenset for row in a.rows for v in row)
+    assert a.rows == ((frozenset({1}), frozenset()), (frozenset({1}), frozenset()))
+
+
+def test_construction_takes_generators():
+    c = ar.chain(3)
+    a = ar.Matrix(c, (((i * 3 + j) % 3 for j in range(3)) for i in range(3)))
+    assert a.rows == ((0, 1, 2), (0, 1, 2), (0, 1, 2))
+    assert ar.Matrix(c, iter([iter([2])])).rows == ((2,),)
+
+
+def test_construction_names_the_first_foreign_entry_in_row_major_order():
+    c = ar.chain(3)
+    seven = 7
+    with pytest.raises(ValueError, match="^7 is not"):
+        ar.Matrix(c, [[0, seven], [5, seven]])
+    with pytest.raises(ValueError, match="^5 is not"):
+        ar.Matrix(c, [[0, 1], [5, seven]])
+
+
 def test_entry_is_one_based():
     s = ar.naturals()
     a = ar.Matrix(s, [[1, 2], [3, 4]])

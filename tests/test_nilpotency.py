@@ -10,6 +10,8 @@ from conftest import (
     BUILTINS,
     all_boolean_matrices,
     builtin,
+    five_element_lattice,
+    layered_matrices,
     random_matrix,
     random_nilpotent,
     random_nonzero,
@@ -294,3 +296,72 @@ def test_power_index_over_non_entire_carrier():
                 ar.nilpotency_index(a)
         else:
             assert ar.nilpotency_index(a) == expected
+
+
+def index_by_powers(a):
+    """The least h with A^h = 0 from ``Matrix.__pow__`` taken directly, or
+    None when A^n != 0."""
+    return next((h for h in range(1, a.n + 1) if (a**h).is_zero()), None)
+
+
+@pytest.fixture
+def matmuls(monkeypatch):
+    """A list that collects one entry per Matrix product."""
+    calls = []
+    product = ar.Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self.n)
+        return product(self, other)
+
+    monkeypatch.setattr(ar.Matrix, "__matmul__", counted)
+    return calls
+
+
+def test_layers_answer_as_the_powers_do(matmuls):
+    rng = random.Random(24)
+    seen = {True: 0, False: 0}
+    for a in layered_matrices(rng, 60):
+        expected = index_by_powers(a)
+        del matmuls[:]
+        nilpotent = ar.is_nilpotent(a)
+        if nilpotent:
+            h = ar.nilpotency_index(a)
+        else:
+            with pytest.raises(NotNilpotentError):
+                ar.nilpotency_index(a)
+        assert not matmuls  # one level pass per layer, no product
+        assert nilpotent == (expected is not None)
+        if nilpotent:
+            assert h == expected
+        seen[nilpotent] += 1
+    assert min(seen.values()) > 40
+
+
+def test_non_split_carrier_keeps_the_power_path(matmuls):
+    lattice = five_element_lattice()  # payloads 0, a, b, a|b, 1
+    a, b, ab = 1, 2, 3
+    m = ar.Matrix(lattice, [[0, a], [b, 0]])  # a 2-cycle with a*b = 0
+    assert ar.is_nilpotent(m) and ar.nilpotency_index(m) == 2
+    assert matmuls
+    assert not ar.is_nilpotent(ar.Matrix(lattice, [[0, ab], [a, 0]]))
+    rng = random.Random(25)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = ar.Matrix(lattice, [
+            [0 if i == j or rng.random() < 0.4 else rng.choice((a, b, ab)) for j in range(n)]
+            for i in range(n)
+        ])
+        expected = index_by_powers(m)
+        assert ar.is_nilpotent(m) == (expected is not None)
+        if expected is not None:
+            assert ar.nilpotency_index(m) == expected
+    with pytest.raises(PreconditionError, match="triangularize.*lattice5"):
+        ar.triangularize(ar.Matrix.zeros(lattice, 2))
+
+
+def test_triangularize_refuses_split_carriers():
+    # no single vertex order triangularizes every layer
+    for sr in (ar.powerset(2), ar.powerset(3)):
+        with pytest.raises(PreconditionError, match="entire"):
+            ar.triangularize(ar.Matrix.zeros(sr, 2))

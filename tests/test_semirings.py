@@ -6,7 +6,7 @@ import pytest
 import antiring as ar
 from antiring.errors import DegenerateSemiringError, FormatError
 
-from conftest import BUILTINS, builtin, carrier, random_value
+from conftest import BUILTINS, builtin, carrier, five_element_lattice, random_value, relabeled
 
 BOOLEAN_TABLES = ar.FiniteTables(
     size=2,
@@ -259,3 +259,24 @@ def test_parse_element_reads_back_every_format_and_names_the_carrier(name):
         assert sr.parse_element(sr.format_element(v)) == v
     with pytest.raises(FormatError, match=re.escape(sr.descriptor())):
         sr.parse_element(NON_MEMBERS[name])
+
+
+def test_entire_components_are_a_carrier_fact():
+    for name in BUILTINS:
+        assert builtin(name).has_entire_components
+    assert ar.powerset(3).has_entire_components and not ar.powerset(3).is_entire
+    assert ar.table_semiring(ar.to_tables(ar.chain(3))).has_entire_components
+    p3, _ = relabeled(ar.powerset(3), (5, 2, 7, 0, 3, 6, 1, 4))
+    assert not p3.is_entire and p3.atoms.length == 3
+    assert p3.has_entire_components
+    lattice = five_element_lattice()
+    report = lattice.axiom_report
+    assert report.is_commutative_antiring and report.has_no_nonzero_nilpotents
+    assert not lattice.is_entire and lattice.atoms.parts == (4,)
+    assert not lattice.has_entire_components
+    # a nonzero nilpotent x makes e*x*x = 0 inside its component
+    nil = ar.table_semiring(ar.FiniteTables(
+        size=3, add_table=((0, 1, 2), (1, 1, 2), (2, 2, 2)),
+        mul_table=((0, 0, 0), (0, 0, 1), (0, 1, 2)), zero_index=0, one_index=2,
+    ))
+    assert not nil.has_entire_components

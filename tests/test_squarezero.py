@@ -4,9 +4,17 @@ import pytest
 
 import antiring as ar
 from antiring import squarezero
-from antiring.errors import BudgetExceededError, PreconditionError
+from antiring.errors import BudgetExceededError, NotNilpotentError, PreconditionError
 
-from conftest import all_boolean_matrices, builtin, random_matrix, random_nilpotent, random_nonzero
+from conftest import (
+    all_boolean_matrices,
+    builtin,
+    five_element_lattice,
+    layered_matrices,
+    random_matrix,
+    random_nilpotent,
+    random_nonzero,
+)
 
 
 def check_path_incidence_free(coloring):
@@ -171,10 +179,10 @@ def test_decompose_one_by_one_zero():
 
 
 def test_decompose_nilpotent_refuses_zero_divisors_at_every_n():
-    # the levels need an entire carrier, whatever the dimension
+    # the levels need atoms of 1 with entire components, whatever the dimension
     for n in (1, 2):
-        with pytest.raises(PreconditionError, match="decompose_nilpotent"):
-            ar.decompose_nilpotent(ar.Matrix.zeros(ar.powerset(2), n))
+        with pytest.raises(PreconditionError, match="decompose_nilpotent.*lattice5"):
+            ar.decompose_nilpotent(ar.Matrix.zeros(five_element_lattice(), n))
 
 
 def test_decompose_shift_n8():
@@ -207,10 +215,36 @@ def test_decompose_nilpotent_random_large():
 
 
 def test_decompose_nilpotent_requires_entire():
-    p2 = ar.powerset(2)
-    m = ar.Matrix(p2, [[set(), {1}], [{2}, set()]])
+    # nilpotent through a*b = 0, but the lattice's one component is not entire
+    m = ar.Matrix(five_element_lattice(), [[0, 1], [2, 0]])
+    assert ar.is_nilpotent(m)
     with pytest.raises(PreconditionError, match="entire"):
         ar.decompose_nilpotent(m)
+
+
+def test_decompose_nilpotent_over_split_carriers():
+    p2 = ar.powerset(2)
+    # each atom's layer is one edge, so one summand holds the whole 2-cycle
+    m = ar.Matrix(p2, [[set(), {1}], [{2}, set()]])
+    assert list(ar.decompose_nilpotent(m)) == [m]
+    rng = random.Random(26)
+    decomposed = 0
+    for a in layered_matrices(rng, 60):
+        h = next((h for h in range(1, a.n + 1) if (a**h).is_zero()), None)
+        if h is None:
+            with pytest.raises(NotNilpotentError):
+                ar.decompose_nilpotent(a)
+            continue
+        summands = list(ar.decompose_nilpotent(a))
+        assert len(summands) <= (h - 1).bit_length()  # ceil(log2 h)
+        ar.SquareZeroDecomposition(a, summands)
+        total = ar.Matrix.zeros(a.semiring, a.n)
+        for b in summands:
+            assert (b @ b).is_zero()
+            total = total + b
+        assert total == a
+        decomposed += 1
+    assert decomposed > 60
 
 
 def test_summand_digraphs_have_no_two_paths():
@@ -384,6 +418,26 @@ def _levels_by_powers(a):
     return levels
 
 
+def _greedy_label_coloring(t):
+    """The trace-zero coloring of D(t) under greedy vertex labels: vertices
+    taken by degree in the underlying graph, most first, ties by index, each
+    given the least color unused by a neighbor; edge (i, j) then gets the
+    color of edge (color(i), color(j)) of the complete digraph coloring on
+    the colors used."""
+    g = ar.digraph_of(t)
+    neighbors = {v: set() for v in range(1, t.n + 1)}
+    for (i, j) in g.edges:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    color = {}
+    for v in sorted(neighbors, key=lambda v: (-len(neighbors[v]), v)):
+        color[v] = min(set(range(1, t.n + 1)) - {color.get(w) for w in neighbors[v]})
+    used = max(color.values())
+    labels = ar.complete_digraph_coloring(used) if used > 1 else None
+    colors = {(i, j): labels.colors[(color[i], color[j])] for (i, j) in g.edges}
+    return ar.EdgeColoring(g, colors, labels.num_colors if labels else 0)
+
+
 def test_decompositions_equal_the_full_coloring_construction():
     rng = random.Random(21)
     for name in ("boolean", "chain3", "tropical", "naturals", "powerset2"):
@@ -395,8 +449,10 @@ def test_decompositions_equal_the_full_coloring_construction():
                 [sr.zero if i == j else v for j, v in enumerate(row)]
                 for i, row in enumerate(t.rows)
             ])
-            dec = ar.decompose_trace_zero(t)
-            assert list(dec) == _full_coloring_split(t, ar.complete_digraph_coloring(n))
+            dec = list(ar.decompose_trace_zero(t))
+            assert dec == _full_coloring_split(t, _greedy_label_coloring(t))
+            # the labels by vertex index, which the greedy labels replaced
+            assert len(dec) <= len(_full_coloring_split(t, ar.complete_digraph_coloring(n)))
             if not sr.is_entire:
                 continue
             a = random_nilpotent(sr, n, rng, density=rng.choice((0.1, 0.5, 0.9)))
