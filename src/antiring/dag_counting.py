@@ -19,7 +19,9 @@ nothing recurses.  ``nilpotent_count_polynomial`` returns a row,
 back to the x-basis.  Row n has C(n,2)+1 coefficients and a count at q has
 about C(n,2) log2(q) bits, so n above MAX_COUNT_N is refused with
 BudgetExceededError before the table grows (at the cap a cold build takes
-under a second and the table holds about 9 MB).
+under a second and the table holds about 9 MB), and so is a value at q that
+could outgrow the answer budget (``ensure_answer_fits``), before it is
+evaluated.
 
 The closed sum over ordered sequences of block sizes is kept as an
 independent oracle that shares no code with the table: it groups the signed
@@ -33,6 +35,7 @@ brute-force enumeration are the ground truth here.
 """
 
 import math
+import sys
 import threading
 
 from dataclasses import dataclass
@@ -144,6 +147,18 @@ _q_rows = [IntPolynomial([1])]
 _q_rows_lock = threading.Lock()
 
 
+def ensure_answer_fits(bits, what):
+    """Refuse, before any arithmetic, an answer of up to ``bits`` bits that is
+    larger than the largest integer the interpreter writes in decimal
+    (``sys.get_int_max_str_digits()``, or its default when that is off), so
+    an accepted answer can always be printed."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    allowed = int(digits * math.log2(10))
+    if bits > allowed:
+        raise BudgetExceededError(
+            f"{what} needs up to {bits} bits, over the answer budget of {allowed} bits", required=bits)
+
+
 def _q_row(n):
     """B_n(q) from the table, growing it bottom-up to row n first."""
     if n < 0:
@@ -203,6 +218,21 @@ def nilpotent_count_polynomial(n):
     return _q_row(n)
 
 
+def _count_value(n, q):
+    """B_n(q) at any integer q, refused before any arithmetic when it could
+    outgrow the answer budget.
+
+    The bound: |A_n(x)| <= A_n(|x|) as A_n has nonnegative coefficients, and
+    A_n(y) = B_n(y + 1) <= n! (y + 1)^C(n,2), every nilpotent matrix being a
+    strictly upper triangular one with its vertices put in some order.  Over
+    the cap, ``_q_row`` refuses n first.
+    """
+    if n <= MAX_COUNT_N:
+        bits = math.lgamma(n + 1) / math.log(2) + math.comb(n, 2) * math.log2(1 + abs(q - 1))
+        ensure_answer_fits(math.ceil(bits), f"B_{n}(q) at a {q.bit_length()}-bit q")
+    return _q_row(n).evaluate(q)
+
+
 def count_nilpotent(n, q):
     """The number of nilpotent n x n matrices over a finite entire commutative
     antiring with q elements: A_n(q-1)."""
@@ -210,4 +240,4 @@ def count_nilpotent(n, q):
         raise ValueError("dimension must be >= 1")
     if q < 1:
         raise ValueError("carrier size must be >= 1")
-    return _q_row(n).evaluate(q)
+    return _count_value(n, q)

@@ -16,21 +16,18 @@ level + 1, ordering the vertices by (level, index) triangularizes it, and the
 levels label the square-zero split (``squarezero``).  The public digraph
 functions run the same pass over a ``Digraph``'s edges.
 
-A carrier whose atoms of 1 all have entire components
-(``Semiring.has_entire_components``: every entire carrier, with the one atom
-1, and every ``powerset:m``) splits as the product of the e*S, and A^h = 0
-iff every layer (e*A)^h = e*A^h is zero.  So the level pass runs once per
-layer, on the nonzeros (j, e*v) with e*v != 0 of each row: A is nilpotent
-iff every layer is acyclic, and its index is the highest level of any layer
-+ 1.  The entire case is the one-layer case, read from ``nonzeros()`` as is.
-
-Over other carriers the pattern does not decide (a 2-cycle whose two entries
-multiply to zero is nilpotent), so the matrix powers do.  The power test
-A^n = 0 is complete whenever the semiring is zerosumfree with no nonzero
-nilpotent elements: a nonzero A^n would contain a length-n walk with nonzero
-entry product, the walk repeats a vertex, the cycle's product c has every
-power nonzero, and zerosumfreeness keeps every power of A nonzero from then
-on.
+Over other carriers the pattern alone does not decide (a 2-cycle whose two
+entries multiply to zero is nilpotent), but a Boolean character does.  The
+carrier's characters phi: S -> B (``Semiring.characters``) are semiring maps,
+so phi(A^h) = phi(A)^h, and together they detect every nonzero element, so
+A^h = 0 iff phi(A)^h = 0 for every phi.  Over B that is a path question: the
+level pass runs once per character, on the layer of the nonzeros (j, v) with
+phi(v) = 1.  A is nilpotent iff every layer is acyclic, and its index is the
+highest level of any layer + 1.  An entire carrier has the one character
+x -> [x != 0], whose layer is ``nonzeros()`` as is; a carrier whose atoms of 1
+have entire components (every ``powerset:m``) has one per atom e,
+x -> [e*x != 0], whose layer carries the values e*v of the component e*A.
+No path takes a matrix product.
 """
 
 from dataclasses import dataclass
@@ -140,71 +137,50 @@ def longest_path(g):
 
 
 def _layers(matrix):
-    """Per atom e of 1, the nonzeros of the layer e*A: row i keeps (j, e*v)
-    for each (j, v) of A's row with e*v != 0.  Under the one atom 1 the
-    layer is A's own ``nonzeros()``.  Yielded lazily, so a caller can stop
-    at the first cyclic layer.
+    """Per character phi of the carrier, the nonzeros of the Boolean layer
+    phi(A): row i keeps the (j, v) of A's row with phi(v) = 1.  A lone
+    character is x -> [x != 0], so its layer is A's own ``nonzeros()``.
+    Built lazily, so a caller can stop at the first cyclic layer.
     """
-    sr = matrix.semiring
-    nonzeros = matrix.nonzeros()
-    parts = sr.atoms.parts
-    if len(parts) == 1:
-        yield nonzeros
-        return
-    mul, z = sr.mul, sr.zero
-    for e in parts:
-        yield [[(j, p) for j, v in row if (p := mul(e, v)) != z] for row in nonzeros]
+    characters = matrix.semiring.characters
+    if len(characters) == 1:
+        return [matrix.nonzeros()]
+    return ([[(j, v) for j, v in row if phi(v)] for row in matrix.nonzeros()] for phi in characters)
+
+
+def _leveled_layers(matrix):
+    """Each layer with its levels, 0-based by vertex; NotNilpotentError at
+    the first cyclic layer."""
+    for layer in _layers(matrix):
+        level = _levels(layer)
+        if level is None:
+            raise NotNilpotentError("matrix is not nilpotent")
+        yield layer, level
 
 
 def is_nilpotent(matrix):
-    """True iff A^n = 0 (n the dimension).
+    """True iff A^n = 0 (n the dimension): every layer's levels exist.
 
-    Requires a commutative antiring without nonzero nilpotent elements.  When
-    the atoms of 1 have entire components this is "every layer's levels
-    exist"; elsewhere it is the power test itself (see the module docstring).
+    Requires a commutative antiring without nonzero nilpotent elements.
     """
-    sr = matrix.semiring
-    sr.ensure_nilpotent_free()
-    if sr.has_entire_components:
-        return all(_levels(layer) is not None for layer in _layers(matrix))
-    return (matrix ** matrix.n).is_zero()
+    matrix.semiring.ensure_nilpotent_free()
+    return all(_levels(layer) is not None for layer in _layers(matrix))
 
 
 def nilpotency_index(matrix):
-    """The least h >= 1 with A^h = 0.
-
-    When the atoms of 1 have entire components this is the highest level of
-    any layer + 1.  Elsewhere the squares A, A^2, A^4, ... are taken until
-    one vanishes, and h is located below it by binary lifting: at most
-    2*ceil(log2 h) matmuls, and ceil(log2 n) to refuse a matrix whose powers
-    never vanish.
-    """
-    sr = matrix.semiring
-    sr.ensure_nilpotent_free()
-    if sr.has_entire_components:
-        return max(max(level) for _, level in _nilpotent_layers(matrix, "nilpotency_index")) + 1
-    squares = [matrix]  # squares[k] = A^(2^k)
-    while not squares[-1].is_zero():
-        if 1 << (len(squares) - 1) >= matrix.n:
-            # A^m != 0 for some m >= n, so A^n != 0
-            raise NotNilpotentError("matrix is not nilpotent")
-        squares.append(squares[-1] @ squares[-1])
-    # the exponents e with A^e != 0 form a prefix 0..h-1: find its end
-    power, e = None, 0  # power = A^e, None standing for the identity
-    for k in range(len(squares) - 2, -1, -1):
-        candidate = squares[k] if power is None else power @ squares[k]
-        if not candidate.is_zero():
-            power, e = candidate, e + (1 << k)
-    return e + 1
+    """The least h >= 1 with A^h = 0: the highest level of any layer + 1."""
+    matrix.semiring.ensure_nilpotent_free()
+    return max(max(level) for _, level in _leveled_layers(matrix)) + 1
 
 
 def _nilpotent_layers(matrix, caller):
-    """Each layer of A with its levels, 0-based by vertex: (nonzeros, level)
-    per atom of 1, in the atoms' order.
+    """Per atom e of 1, in the atoms' order, the layer of e*A with its
+    levels: (nonzeros, level), the nonzeros carrying the values e*v.
 
     Carries the preconditions of the public function ``caller``, in its
     order: an antiring without nonzero nilpotents, atoms of 1 with entire
-    components, then acyclic layers (else NotNilpotentError).
+    components (one character each), then acyclic layers (else
+    NotNilpotentError).
     """
     sr = matrix.semiring
     sr.ensure_nilpotent_free()
@@ -213,13 +189,14 @@ def _nilpotent_layers(matrix, caller):
             f"{caller} needs atoms of 1 with entire components; "
             f"{sr.descriptor()} has zero divisors inside one"
         )
-    layers = []
-    for layer in _layers(matrix):
-        level = _levels(layer)
-        if level is None:
-            raise NotNilpotentError("matrix is not nilpotent")
-        layers.append((layer, level))
-    return layers
+    layers = list(_leveled_layers(matrix))
+    parts, mul = sr.atoms.parts, sr.mul
+    if len(parts) == 1:
+        return layers
+    return [
+        ([[(j, mul(e, v)) for j, v in row] for row in layer], level)
+        for e, (layer, level) in zip(parts, layers)
+    ]
 
 
 def triangularize(matrix):

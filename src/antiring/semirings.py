@@ -11,12 +11,23 @@ Each carrier fact is stated once.  ``contains`` is the one membership rule:
 a literal reads (``_read``).  Two semirings are equal iff their descriptors
 are, except that a table semiring is identified by its operation tables.
 
-Each semiring also owns its atoms of 1 (:attr:`Semiring.atoms`): the maximal
-orthogonal decomposition of 1, along which S splits as the product of the
-e*S.  It is a fact about the carrier alone, built and validated once per
-instance, and the matrix layers read it instead of working it out again.
-Next to it, :attr:`Semiring.has_entire_components` says whether every e*S is
-entire, which lets nilpotency split a matrix into one layer per atom.
+Each semiring also owns two facts about its carrier alone, each built and
+checked once per instance and read by the matrix algorithms instead of being
+worked out again:
+
+* its atoms of 1 (:attr:`Semiring.atoms`): the maximal orthogonal
+  decomposition of 1, along which S splits as the product of the e*S;
+* its Boolean characters (:attr:`Semiring.characters`): semiring maps
+  phi: S -> B, the Boolean semiring, that together detect every nonzero
+  element.  A commutative antiring without nonzero nilpotents has such a
+  family: for x != 0, a maximal strong ideal P missing the powers of x
+  (strong: a + b in P puts a and b in P) is prime, so phi(s) = [s not in P]
+  is a character with phi(x) = 1 (Golan, *Semirings and their
+  Applications*, 1999).  Nilpotency reads one Boolean layer per character.
+
+Each character is 1 on exactly one component e*S; an entire component has
+one character, x -> [e*x != 0], and any other needs two or more.  So
+:attr:`Semiring.has_entire_components` is a count.
 """
 
 import itertools
@@ -50,8 +61,9 @@ class Semiring:
     zero = None
     one = None
 
-    # set on the instance by the first read of ``atoms``
+    # set on the instance by the first read of ``atoms`` and ``characters``
     _atoms = None
+    _characters = None
 
     def _key(self):
         return self.descriptor()
@@ -172,13 +184,32 @@ class Semiring:
         return (self.one,)
 
     @property
-    def has_entire_components(self):
-        """True when every component e*S of the atoms of 1 is entire.
+    def characters(self):
+        """The Boolean characters phi: S -> B, built once: semiring maps that
+        together detect every nonzero element, each a predicate truthy
+        exactly where phi is 1.  Those of atoms with entire components come
+        first, in the atoms' order.
 
-        Then S is the product of entire antirings, so a matrix is nilpotent
-        iff each layer e*A is.  An entire semiring is its one component.
+        Defined on nondegenerate commutative antirings without nonzero
+        nilpotents, which is checked first.  Kept on the instance like
+        ``atoms``.
         """
-        return self.is_entire
+        if self._characters is None:
+            self.ensure_nondegenerate()
+            self.ensure_nilpotent_free()
+            self._characters = tuple(self._find_characters())
+        return self._characters
+
+    def _find_characters(self):
+        """x -> [x != 0], the one character of an entire semiring; the
+        carriers with zero divisors find their own."""
+        return (self.zero.__ne__,)
+
+    @property
+    def has_entire_components(self):
+        """True when every component e*S of the atoms of 1 is entire: then
+        S is a product of entire antirings, with one character per atom."""
+        return self.is_nilpotent_free and len(self.characters) == self.atoms.length
 
     # --- text form of single elements ---
 
@@ -342,8 +373,9 @@ class Powerset(Semiring):
         # the singletons, in closed form: refining over 2^m idempotents does not scale
         return [frozenset([x]) for x in range(1, self.m + 1)]
 
-    # each component {x}*S = {{}, {x}} is the Boolean semiring
-    has_entire_components = True
+    def _find_characters(self):
+        # x -> [i in x] in closed form, one per atom {i}, in the atoms' order
+        return [frozenset([i]).intersection for i in range(1, self.m + 1)]
 
     def format_element(self, value):
         return "{" + ",".join(str(x) for x in sorted(value)) + "}"
@@ -577,7 +609,6 @@ class TableSemiring(Semiring):
         self.mul = lambda a, b: mul_t[a][b]
         self._report = None
         self._units = None
-        self._entire_components = None
 
     def _key(self):
         return (
@@ -642,21 +673,47 @@ class TableSemiring(Semiring):
     def is_entire(self):
         return self.axiom_report.is_entire
 
-    @property
-    def has_entire_components(self):
-        """Checked once from the tables: for no atom e are there x, y with
-        e*x != 0, e*y != 0 and e*x*y = 0."""
-        if self._entire_components is None:
-            mul, zero = self.mul, self.zero
-            # the nonzero elements e*x of each component e*S
-            components = (
-                {p for x in range(self.size) if (p := mul(e, x)) != zero}
-                for e in self.atoms.parts
-            )
-            self._entire_components = self.is_entire or all(
-                mul(x, y) != zero for nonzero in components for x in nonzero for y in nonzero
-            )
-        return self._entire_components
+    def _find_characters(self):
+        """x -> [e*x != 0] for each atom e where that is a character (its
+        component is entire); then, for each nonzero x that none found yet
+        detects, the complement of a maximal strong ideal P missing the
+        powers of x, grown from {0} in carrier order.
+
+        P takes the next element s whenever the strong ideal P and s
+        generate still misses the powers.  That ideal is the down-closure
+        {a : a + b in P + S*s for some b} of the ideal P + S*s, since the
+        down-closure of an ideal is a strong ideal and a strong ideal is
+        down-closed.  One pass in carrier order makes P maximal: a refused s
+        stays refused as P grows.
+
+        Every map is checked against the tables.  A grown one that is no
+        semiring map raises RuntimeError; by the theorem in the module
+        docstring that takes a nonzero nilpotent, which
+        ``ensure_nilpotent_free`` has already refused.
+        """
+        zero, one, rng = self.zero, self.one, range(self.size)
+        add_t, mul_t = self.tables.add_table, self.tables.mul_table
+
+        def is_character(ones):
+            return zero not in ones and one in ones and all(
+                (add_t[a][b] in ones) == (a in ones or b in ones)
+                and (mul_t[a][b] in ones) == (a in ones and b in ones) for a in rng for b in rng)
+
+        found = [c for e in self.atoms.parts
+                 if is_character(c := frozenset(x for x in rng if mul_t[e][x] != zero))]
+        for x in rng:
+            if x != zero and not any(x in c for c in found):
+                # x, x^2, ..., x^(size+1): every power, as the orbit cycles within size steps
+                powers = set(itertools.accumulate(rng, lambda p, _: mul_t[p][x], initial=x))
+                ideal = {zero}
+                for s in rng:
+                    sums = {add_t[p][m] for p in ideal for m in mul_t[s]}
+                    if powers.isdisjoint(grown := {a for a in rng if not sums.isdisjoint(add_t[a])}):
+                        ideal = grown
+                found.append(frozenset(rng) - ideal)
+                if not is_character(found[-1]):
+                    raise RuntimeError(f"{self.descriptor()}: a grown strong ideal is not prime")
+        return [c.__contains__ for c in found]
 
     @property
     def is_nilpotent_free(self):

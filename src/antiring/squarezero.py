@@ -37,6 +37,7 @@ the sharpness of both color counts.
 import itertools
 import math
 
+from .dag_counting import ensure_answer_fits
 from .errors import BudgetExceededError, PreconditionError
 from .matrices import Matrix
 from .nilpotency import _nilpotent_layers, complete_digraph, transitive_tournament
@@ -116,9 +117,10 @@ def tracezero_capacity(n):
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    big_n = 0
-    while math.comb(big_n, (big_n + 1) // 2) < n:
+    big_n, central = 0, 1  # central = C(big_n, ceil(big_n/2))
+    while central < n:
         big_n += 1
+        central = central * big_n // ((big_n + 1) // 2)
     return big_n
 
 
@@ -126,10 +128,12 @@ def tracezero_max_dimension(k):
     """C(k, ceil(k/2)): the largest dimension k square-zero summands can cover.
 
     Grows like 2^k / sqrt(k) by Stirling; this function stays exact and
-    leaves the asymptotics to the reader.
+    leaves the asymptotics to the reader.  Below 2^k, so at most k bits,
+    which the answer budget bounds first.
     """
     if k < 0:
         raise ValueError("summand count must be >= 0")
+    ensure_answer_fits(k, f"C({k}, {(k + 1) // 2})")
     return math.comb(k, (k + 1) // 2)
 
 

@@ -121,6 +121,53 @@ def five_element_lattice():
     ), source="lattice5")
 
 
+def lattice_table(sets, source):
+    """A table semiring of distinct frozensets closed under union (addition)
+    and intersection (multiplication), with the empty set as 0 and the
+    largest set as 1."""
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
+    index = {s: k for k, s in enumerate(sets)}
+    return ar.table_semiring(ar.FiniteTables(
+        size=len(sets),
+        add_table=tuple(tuple(index[x | y] for y in sets) for x in sets),
+        mul_table=tuple(tuple(index[x & y] for y in sets) for x in sets),
+        zero_index=index[frozenset()], one_index=index[max(sets, key=len)],
+    ), source=source)
+
+
+def downset_table():
+    """The eight down-sets of the poset N (a < c > b < d) under union and
+    intersection: a distributive lattice whose only atom of 1 is 1."""
+    below = {"a": "a", "b": "b", "c": "abc", "d": "bd"}
+    sets = {frozenset().union(*(below[p] for p in ps))
+            for r in range(5) for ps in itertools.combinations("abcd", r)}
+    return lattice_table(sets, "downsetN")
+
+
+def product_table(first, second, source):
+    """The direct product of two finite semirings as a table, pairs in the
+    order of ``itertools.product`` over their elements."""
+    pairs = list(itertools.product(first.elements(), second.elements()))
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def table(op1, op2):
+        return tuple(tuple(index[op1(x1, y1), op2(x2, y2)] for (y1, y2) in pairs)
+                     for (x1, x2) in pairs)
+
+    return ar.table_semiring(ar.FiniteTables(
+        size=len(pairs), add_table=table(first.add, second.add),
+        mul_table=table(first.mul, second.mul),
+        zero_index=index[first.zero, second.zero], one_index=index[first.one, second.one],
+    ), source=source)
+
+
+def non_split_carriers():
+    """Carriers whose atoms of 1 do not all have entire components: the
+    five-element lattice, the down-sets of N, and the lattice times boolean."""
+    lattice = five_element_lattice()
+    return [lattice, downset_table(), product_table(lattice, ar.boolean(), "lattice5xboolean")]
+
+
 def carrier(name):
     """A built-in by name, or "table": chain:3 relabeled so that zero is index 2
     and one is index 1."""

@@ -6,6 +6,8 @@ import antiring as ar
 import antiring.cli
 from antiring.cli import run
 
+from conftest import five_element_lattice
+
 BOOL_UPPER = "semiring boolean\nn 2\n1 1\n0 1\n"
 POWERSET_INVERTIBLE = "semiring powerset:2\nn 2\n{1} {2}\n{2} {1}\n"
 CHAIN_SHIFT = "semiring chain:3\nn 3\n0 2 0\n0 0 2\n0 0 0\n"
@@ -208,6 +210,29 @@ def test_counting_over_the_cap_is_a_budget_refusal():
         assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "nilpotent", "-n", "100", "-q", str(10**1000)],
+    ["count", "nilpotent", "-n", "100", "-q", "1000000"],
+    ["poly", "-n", "22", "--at", str(10**1000)],
+    ["nmax", "-k", "20000"],
+])
+def test_huge_answers_are_budget_refusals(argv):
+    out = run(argv)
+    assert out.exit_code == 3 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "bits, over the answer budget of" in out.stderr
+
+
+def test_benchmark_sizes_stay_answered():
+    for argv in (
+        ["count", "nilpotent", "-n", "32", "-q", "7"],
+        ["poly", "-n", "22", "--at", "7"],
+        ["nmax", "-k", "30"],
+        ["--format", "json", "count", "nilpotent", "-n", "100", "-q", "6"],
+    ):
+        assert run(argv).exit_code == 0
+
+
 def test_exhausted_recursion_is_a_domain_error(monkeypatch):
     # the catch-all also turns an exhausted stack or heap into exit 1
     for error in (RecursionError, MemoryError):
@@ -219,6 +244,18 @@ def test_exhausted_recursion_is_a_domain_error(monkeypatch):
         assert out.exit_code == 1 and out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
+
+
+def test_nilpotency_over_a_non_split_table(tmp_path):
+    # lattice5: 0, a, b, a|b, 1 with a*b = 0; the 2-cycle [[0, a], [b, 0]] is nilpotent
+    (tmp_path / "lattice5.tbl").write_text(ar.format_tables(five_element_lattice().tables))
+    mfile = tmp_path / "cycle.txt"
+    mfile.write_text("semiring table:lattice5.tbl\nn 2\n0 1\n2 0\n")
+    assert run(["check", "nilpotent", str(mfile)]) == antiring.cli.CommandOutcome(0, "yes\n", "")
+    assert run(["index", str(mfile)]) == antiring.cli.CommandOutcome(0, "2\n", "")
+    out = run(["decompose", "squarezero", str(mfile)])
+    assert out.exit_code == 1 and out.stdout == ""
+    assert "table:lattice5.tbl" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_help_exits_zero():

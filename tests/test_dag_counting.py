@@ -233,6 +233,31 @@ def test_counting_cap_refuses_before_the_table_grows():
         ar.nilpotent_count_polynomial(-1)
 
 
+def test_huge_counts_are_refused_before_any_arithmetic(monkeypatch):
+    allowed = int(sys.get_int_max_str_digits() * math.log2(10))
+    # the bound n! q^C(n,2) is within 14 bits of the value at n = 100, q = 6
+    value = ar.count_nilpotent(100, 6)
+    assert allowed - 1000 < value.bit_length() and len(str(value)) <= sys.get_int_max_str_digits()
+    monkeypatch.setattr(dag_counting, "_q_row", None)  # touching the table would fail
+    for n, q in ((100, 7), (100, 10**6), (100, 10**1000), (2, 10**10**5)):
+        with pytest.raises(ar.BudgetExceededError) as exc:
+            ar.count_nilpotent(n, q)
+        assert exc.value.required > allowed
+        assert f"{exc.value.required} bits" in str(exc.value) and f"{allowed} bits" in str(exc.value)
+
+
+def test_answer_budget_follows_the_interpreter_limit():
+    digits = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(6000)
+        assert len(str(ar.count_nilpotent(100, 7))) > digits
+        sys.set_int_max_str_digits(0)  # off: the default limit stands in
+        with pytest.raises(ar.BudgetExceededError):
+            ar.count_nilpotent(100, 7)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def test_large_count_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)

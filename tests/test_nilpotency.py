@@ -12,6 +12,7 @@ from conftest import (
     builtin,
     five_element_lattice,
     layered_matrices,
+    non_split_carriers,
     random_matrix,
     random_nilpotent,
     random_nonzero,
@@ -338,12 +339,12 @@ def test_layers_answer_as_the_powers_do(matmuls):
     assert min(seen.values()) > 40
 
 
-def test_non_split_carrier_keeps_the_power_path(matmuls):
+def test_non_split_carrier_takes_no_matmul(matmuls):
     lattice = five_element_lattice()  # payloads 0, a, b, a|b, 1
     a, b, ab = 1, 2, 3
     m = ar.Matrix(lattice, [[0, a], [b, 0]])  # a 2-cycle with a*b = 0
     assert ar.is_nilpotent(m) and ar.nilpotency_index(m) == 2
-    assert matmuls
+    assert not matmuls  # one level pass per character
     assert not ar.is_nilpotent(ar.Matrix(lattice, [[0, ab], [a, 0]]))
     rng = random.Random(25)
     for _ in range(100):
@@ -358,6 +359,47 @@ def test_non_split_carrier_keeps_the_power_path(matmuls):
             assert ar.nilpotency_index(m) == expected
     with pytest.raises(PreconditionError, match="triangularize.*lattice5"):
         ar.triangularize(ar.Matrix.zeros(lattice, 2))
+
+
+def _planted_by_characters(sr, n, rng):
+    """A seeded n x n matrix over sr.  Two in three draw each entry among the
+    values whose characters all order (i, j) forward in a random order of
+    each character's own: nilpotent, though the digraph is often cyclic.
+    The rest are drawn at random, zero diagonal or not."""
+    els = sr.elements()
+    ranks = [rng.sample(range(n), n) for _ in sr.characters]
+    planted = rng.randrange(3)
+    rows = [[sr.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.6:
+                rows[i][j] = rng.choice([
+                    v for v in els
+                    if not planted or all(r[i] < r[j] for phi, r in zip(sr.characters, ranks) if phi(v))
+                ])
+    return ar.Matrix(sr, rows)
+
+
+@pytest.mark.parametrize("sr", non_split_carriers(), ids=lambda sr: sr.descriptor())
+def test_characters_answer_as_the_powers_do(sr, matmuls):
+    rng = random.Random(26)
+    seen = {True: 0, False: 0}
+    cyclic_nilpotent = 0
+    for _ in range(1500):
+        a = _planted_by_characters(sr, rng.randint(1, 6), rng)
+        expected = index_by_powers(a)
+        del matmuls[:]
+        nilpotent = ar.is_nilpotent(a)
+        assert nilpotent == (expected is not None)
+        if nilpotent:
+            assert ar.nilpotency_index(a) == expected
+        else:
+            with pytest.raises(NotNilpotentError):
+                ar.nilpotency_index(a)
+        assert not matmuls
+        seen[nilpotent] += 1
+        cyclic_nilpotent += nilpotent and not ar.is_acyclic(ar.digraph_of(a))
+    assert min(seen.values()) > 300 and cyclic_nilpotent > 200
 
 
 def test_triangularize_refuses_split_carriers():

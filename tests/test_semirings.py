@@ -6,7 +6,15 @@ import pytest
 import antiring as ar
 from antiring.errors import DegenerateSemiringError, FormatError
 
-from conftest import BUILTINS, builtin, carrier, five_element_lattice, random_value, relabeled
+from conftest import (
+    BUILTINS,
+    builtin,
+    carrier,
+    five_element_lattice,
+    non_split_carriers,
+    random_value,
+    relabeled,
+)
 
 BOOLEAN_TABLES = ar.FiniteTables(
     size=2,
@@ -280,3 +288,45 @@ def test_entire_components_are_a_carrier_fact():
         mul_table=((0, 0, 0), (0, 0, 1), (0, 1, 2)), zero_index=0, one_index=2,
     ))
     assert not nil.has_entire_components
+    with pytest.raises(ar.PreconditionError, match="nilpotent"):
+        nil.characters
+    with pytest.raises(DegenerateSemiringError):
+        ar.chain(1).characters
+    for sr in non_split_carriers():
+        assert not sr.has_entire_components
+
+
+def _is_character(sr, phi):
+    """phi is a semiring map to the Boolean semiring, checked on every pair."""
+    els = sr.elements()
+    return not phi(sr.zero) and bool(phi(sr.one)) and all(
+        bool(phi(sr.add(a, b))) == bool(phi(a) or phi(b))
+        and bool(phi(sr.mul(a, b))) == bool(phi(a) and phi(b))
+        for a in els for b in els
+    )
+
+
+@pytest.mark.parametrize("sr", [
+    *non_split_carriers(), ar.boolean(), ar.chain(4), ar.powerset(3),
+    relabeled(ar.powerset(3), (5, 2, 7, 0, 3, 6, 1, 4))[0],
+], ids=lambda sr: sr.descriptor())
+def test_characters_are_semiring_maps_that_detect_every_nonzero(sr):
+    chars = sr.characters
+    assert chars is sr.characters  # built once
+    assert all(_is_character(sr, phi) for phi in chars)
+    for x in sr.elements():
+        assert any(phi(x) for phi in chars) == (x != sr.zero)
+    # each character is 1 on exactly one atom of 1, so there are at least as many
+    assert all(sum(bool(phi(e)) for e in sr.atoms.parts) == 1 for phi in chars)
+    assert len(chars) >= sr.atoms.length
+    assert sr.has_entire_components == (len(chars) == sr.atoms.length)
+
+
+def test_characters_of_the_non_split_carriers():
+    lattice, downsets, product = non_split_carriers()
+    assert [len(sr.characters) for sr in (lattice, downsets, product)] == [2, 2, 3]
+    # lattice5: payloads 0, a, b, a|b, 1 and the prime filters above a and b
+    assert [{x for x in range(5) if phi(x)} for phi in lattice.characters] == [
+        {1, 3, 4}, {2, 3, 4},
+    ]
+    assert product.atoms.length == 2

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -63,6 +64,21 @@ def test_capacity_and_max_dimension_are_adjoint():
         assert ar.tracezero_capacity(ar.tracezero_max_dimension(k)) == k
     for n in range(1, 1001):
         assert ar.tracezero_max_dimension(ar.tracezero_capacity(n)) >= n
+
+
+def test_capacity_steps_the_central_binomial():
+    # the incremental step against math.comb, and an n of 4001 digits at once
+    for n in (2, 7, 10**6, 10**40):
+        big_n = ar.tracezero_capacity(n)
+        assert math.comb(big_n, (big_n + 1) // 2) >= n > math.comb(big_n - 1, big_n // 2)
+    assert ar.tracezero_capacity(10**4000) == 13295
+
+
+def test_huge_max_dimension_is_refused_before_any_arithmetic():
+    assert ar.tracezero_max_dimension(30) == 155117520
+    with pytest.raises(BudgetExceededError) as exc:
+        ar.tracezero_max_dimension(10**7)
+    assert exc.value.required == 10**7 and "10000000 bits" in str(exc.value)
 
 
 def test_complete_digraph_coloring_classes_n3():
