@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .dag_counting import _count_value, count_nilpotent, nilpotent_count_polynomial
+from .dag_counting import count_nilpotent, nilpotent_count_polynomial
 from .enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -176,7 +176,7 @@ def _cmd_poly(args):
         "coefficients": {f"q^{d}": poly.coefficient(d) for d in range(degree + 1)},
     }
     if args.at is not None:
-        value = _count_value(args.n, args.at)
+        value = poly.evaluate(args.at)
         lines.append(f"value at q={args.at}: {value}")
         payload["at"] = args.at
         payload["value"] = value

@@ -19,9 +19,10 @@ nothing recurses.  ``nilpotent_count_polynomial`` returns a row,
 back to the x-basis.  Row n has C(n,2)+1 coefficients and a count at q has
 about C(n,2) log2(q) bits, so n above MAX_COUNT_N is refused with
 BudgetExceededError before the table grows (at the cap a cold build takes
-under a second and the table holds about 9 MB), and so is a value at q that
-could outgrow the answer budget (``ensure_answer_fits``), before it is
-evaluated.
+under a second and the table holds about 9 MB).  Every evaluation of a row
+is budgeted (``IntPolynomial.evaluate``, ``ensure_answer_fits``), and
+``count_nilpotent`` refuses a count that could outgrow the budget before the
+row is built.
 
 The closed sum over ordered sequences of block sizes is kept as an
 independent oracle that shares no code with the table: it groups the signed
@@ -69,9 +70,22 @@ class IntPolynomial:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
     def evaluate(self, v):
+        """The value at an integer v, refused when it does not fit the answer
+        budget (``ensure_answer_fits``).
+
+        |p(v)| <= len(coeffs) * max|c| * max(|v|, 1)^degree, so the power is
+        refused before any arithmetic when it alone passes the budget, which
+        keeps Horner's numbers within log2 len(coeffs) plus the largest
+        coefficient's bits of the budget.  A count B_n(q) at q >= 1 is at least
+        q^C(n,2), the strictly upper triangular matrices, so a count is
+        answered exactly when it fits.
+        """
+        what = f"a degree-{self.degree} polynomial at a {abs(v).bit_length()}-bit value"
+        ensure_answer_fits(math.ceil(self.degree * math.log2(max(abs(v), 1))), what)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
+        ensure_answer_fits(acc.bit_length(), what)
         return acc
 
     def shift(self, c):
@@ -148,10 +162,10 @@ _q_rows_lock = threading.Lock()
 
 
 def ensure_answer_fits(bits, what):
-    """Refuse, before any arithmetic, an answer of up to ``bits`` bits that is
-    larger than the largest integer the interpreter writes in decimal
-    (``sys.get_int_max_str_digits()``, or its default when that is off), so
-    an accepted answer can always be printed."""
+    """Refuse an answer of up to ``bits`` bits that is larger than the largest
+    integer the interpreter writes in decimal (``sys.get_int_max_str_digits()``,
+    or its default when that is off), so an accepted answer can always be
+    printed.  Given a bound on the answer, it refuses before any arithmetic."""
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     allowed = int(digits * math.log2(10))
     if bits > allowed:
@@ -218,26 +232,19 @@ def nilpotent_count_polynomial(n):
     return _q_row(n)
 
 
-def _count_value(n, q):
-    """B_n(q) at any integer q, refused before any arithmetic when it could
-    outgrow the answer budget.
-
-    The bound: |A_n(x)| <= A_n(|x|) as A_n has nonnegative coefficients, and
-    A_n(y) = B_n(y + 1) <= n! (y + 1)^C(n,2), every nilpotent matrix being a
-    strictly upper triangular one with its vertices put in some order.  Over
-    the cap, ``_q_row`` refuses n first.
-    """
-    if n <= MAX_COUNT_N:
-        bits = math.lgamma(n + 1) / math.log(2) + math.comb(n, 2) * math.log2(1 + abs(q - 1))
-        ensure_answer_fits(math.ceil(bits), f"B_{n}(q) at a {q.bit_length()}-bit q")
-    return _q_row(n).evaluate(q)
-
-
 def count_nilpotent(n, q):
     """The number of nilpotent n x n matrices over a finite entire commutative
-    antiring with q elements: A_n(q-1)."""
+    antiring with q elements: A_n(q-1).
+
+    Refused before the row is built when the bound n! q^C(n,2) passes the
+    answer budget: every nilpotent matrix is a strictly upper triangular one
+    with its vertices put in some order.  Over the cap ``_q_row`` refuses n.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if q < 1:
         raise ValueError("carrier size must be >= 1")
-    return _count_value(n, q)
+    if n <= MAX_COUNT_N:
+        bits = math.lgamma(n + 1) / math.log(2) + math.comb(n, 2) * math.log2(q)
+        ensure_answer_fits(math.ceil(bits), f"B_{n}(q) at a {q.bit_length()}-bit q")
+    return _q_row(n).evaluate(q)

@@ -106,8 +106,12 @@ def _grid_power_is_zero(add, mul, zero, grid, n, e):
 
 
 def count_nilpotent_bruteforce(semiring, n, budget=DEFAULT_BUDGET):
-    """Count matrices with A^n = 0 by scanning the whole matrix space."""
+    """Count matrices with A^n = 0 by scanning the whole matrix space.
+
+    Refuses a degenerate carrier (0 = 1), as ``enumerate_gl`` does.
+    """
     _require_finite(semiring)
+    semiring.ensure_nondegenerate()
     _check_budget(semiring, n, budget)
     add, mul, zero = semiring.add, semiring.mul, semiring.zero
     return sum(
@@ -150,7 +154,7 @@ def orth_decomp_search(semiring):
         raise BudgetExceededError(
             f"carrier of {semiring.descriptor()} has {semiring.size} elements, "
             f"over the subset-search cap of {MAX_SEARCH_CARRIER}",
-            required=2 ** (semiring.size - 1),
+            required=semiring.size,
         )
     add, mul, zero, one = semiring.add, semiring.mul, semiring.zero, semiring.one
     nonzero = [x for x in semiring.elements() if x != zero]

@@ -23,10 +23,11 @@ class PreconditionError(AntiringError):
 
 
 class NotInvertibleError(AntiringError):
-    """The matrix is not invertible; `reason` names the violated condition."""
+    """The matrix is not invertible; `reason` names the first condition of the
+    form D * sum_e(e * P_e) it breaks, and the row or column that breaks it."""
 
-    def __init__(self, message, reason):
-        super().__init__(message)
+    def __init__(self, reason):
+        super().__init__(f"matrix is not invertible: {reason}")
         self.reason = reason
 
 

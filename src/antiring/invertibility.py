@@ -10,15 +10,17 @@ O(n^2) scan), and every later step touches only those: such a matrix has
 at most k nonzeros per row for k atoms.  Row sums give D, each atom e reads
 its permutation off the unique nonzero of e*A in every row, and rebuilding
 each row of the product and comparing it with the row's nonzeros decides,
-O(k^2 * n) after the scan.  The same pass yields the
+O(k^2 * n) after the scan.  Both answers come from that pass: a refusal
+names the first condition of the form the matrix breaks, and its row or
+column.  The same pass yields the
 factorization, the explicit inverse (D^-1 * sum_e(e * P_e))^T, built by the
 same sparse rebuild and certified by AB = BA = I computed over the nonzeros
 of A and of B, and the semidirect-product coordinates of the group of
 invertible matrices.
 
 The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
-:func:`invertibility_failure`: an independent oracle, and the source of the
-reason a refusal names.
+:func:`invertibility_failure`, an independent oracle that shares no code
+with that pass.
 """
 
 from .errors import NotInvertibleError, UnsupportedOperationError
@@ -117,8 +119,9 @@ def invertibility_failure(matrix):
 
     The definition over a commutative antiring: A*A^T and A^T*A are diagonal
     with every diagonal entry a unit.  Two matrix products, so O(n^3); the
-    library decides invertibility from atoms and calls this only to name
-    the reason for a refusal.  Tests use it as the oracle.
+    library decides invertibility, and words its refusals, from the atoms
+    of 1 and never calls this.  It is the oracle of the tests and of
+    ``enumerate_gl``.
     """
     matrix.semiring.ensure_antiring()
     sr = matrix.semiring
@@ -179,69 +182,65 @@ def _is_identity_product(semiring, left, right):
 
 
 def _atom_coordinates(matrix):
-    """(diag, atoms, perms) with matrix = D * sum_e(e * P_e), or None.
+    """(diag, atoms, perms) with matrix = D * sum_e(e * P_e), or
+    NotInvertibleError naming the first condition of that form it breaks.
 
     Only the rows' nonzeros are read (``Matrix.nonzeros()``, one O(n^2)
     scan), and every later step touches only those.  ``diag`` holds
     the row sums, each a unit; ``atoms`` is ``Semiring.atoms``, the maximal
     orthogonal decomposition of 1, which refuses a non-antiring; ``perms``
     holds one tuple of 1-based images per atom, where sigma_e(i) is the
-    unique j with e*A(i,j) != 0.  Each row then closes with the
+    unique j with e*A(i,j) != 0.  Row by row, a refusal names the row with
+    more nonzeros than atoms, a row sum that is not a unit (a zero row
+    included), or an atom meeting the row in more than one entry; then the
+    column some sigma_e hits twice.  Each row closes with the
     rebuild-and-compare check, which certifies a success on its own (that
     form has the explicit inverse sum_e(e * P_e^T) * D^-1):
     {sigma_e(i): sum{e : sigma_e(i) = j}} times d_i must equal the row's
     support, size and values.  Every rebuilt entry is nonzero (a unit times
     a sum of atoms, in a zerosumfree semiring), so this is exactly the dense
-    entrywise comparison.  A row of more than k nonzeros is refused at once.
-    O(k^2) per row after the read, for k atoms.
+    entrywise comparison; after the checks before it, it cannot fail, as
+    d_i * e = e * A(i, sigma_e(i)) when the atoms sum to 1.  O(k^2) per row
+    after the read, for k atoms.
     """
     sr = matrix.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
+    add, mul, zero, fmt = sr.add, sr.mul, sr.zero, sr.format_element
     atoms = sr.atoms
     parts = atoms.parts
     k = len(parts)
     diag = []
     images = []
-    for support in matrix.nonzeros():
+    for i, support in enumerate(matrix.nonzeros(), 1):
         if len(support) > k:
-            return None
+            raise NotInvertibleError(f"row {i} has {len(support)} nonzeros for {k} atom(s) of 1")
         total = zero
         for _, v in support:
             total = add(total, v)
         if sr.unit_inverse(total) is None:
-            return None
+            raise NotInvertibleError(f"row {i} sums to {fmt(total)}, which is not a unit")
         hits = []
         cells = {}
         for e in parts:
             js = [j for j, v in support if mul(e, v) != zero]
             if len(js) != 1:
-                return None
+                raise NotInvertibleError(f"atom {fmt(e)} meets row {i} in {len(js)} entries")
             j = js[0]
             hits.append(j + 1)
             cells[j] = add(cells[j], e) if j in cells else e
         if len(cells) != len(support) or any(mul(total, cells[j]) != v for j, v in support):
-            return None
+            raise NotInvertibleError(f"row {i} differs from its rebuild from the atoms of 1")
         diag.append(total)
         images.append(hits)
     n = len(images)
     perms = [tuple(p) for p in zip(*images)]
-    if any(len(set(p)) != n for p in perms):
-        return None
+    for e, p in zip(parts, perms):
+        if len(set(p)) != n:
+            rows = {}
+            for i, j in enumerate(p, 1):
+                if rows.setdefault(j, i) != i:
+                    raise NotInvertibleError(
+                        f"atom {fmt(e)} meets column {j} in rows {rows[j]} and {i}")
     return tuple(diag), atoms, perms
-
-
-def _invertible_coordinates(matrix):
-    """_atom_coordinates, or NotInvertibleError naming the definitional reason."""
-    coords = _atom_coordinates(matrix)
-    if coords is None:
-        reason = invertibility_failure(matrix)
-        if reason is None:
-            raise RuntimeError(
-                "A*A^T test accepts a matrix that is not D * sum_e(e * P_e) "
-                "over the atoms of 1"
-            )
-        raise NotInvertibleError(f"matrix is not invertible: {reason}", reason=reason)
-    return coords
 
 
 def is_invertible(matrix):
@@ -249,7 +248,11 @@ def is_invertible(matrix):
 
     One O(n^2) read of the support, then O(k^2 * n) for k atoms.
     """
-    return _atom_coordinates(matrix) is not None
+    try:
+        _atom_coordinates(matrix)
+    except NotInvertibleError:
+        return False
+    return True
 
 
 def factorize_invertible(matrix):
@@ -259,10 +262,10 @@ def factorize_invertible(matrix):
     decomposition of 1 reads off its permutation sigma_e from the unique
     nonzero of e*A in each row, and a_s = sum{e : sigma_e = s}.  One O(n^2)
     read of the support, then O(k^2 * n) for k atoms.  A non-invertible
-    input raises NotInvertibleError whose reason comes from the A*A^T
-    definition (:func:`invertibility_failure`).
+    input raises NotInvertibleError from the same pass, whose reason names
+    the first condition of the form it breaks and the row or column.
     """
-    diag, atoms, perms = _invertible_coordinates(matrix)
+    diag, atoms, perms = _atom_coordinates(matrix)
     sr = matrix.semiring
     coeffs = {}
     for e, images in zip(atoms.parts, perms):
@@ -276,12 +279,12 @@ def invert(matrix):
 
     B = sum_e(e * P_e^T) * D^-1 = (D^-1 * sum_e(e * P_e))^T is the sparse
     rebuild of the coordinates with D^-1 for D, transposed: entry
-    (sigma_e(i), i) collects e * d_i^-1.  The refusal reason is the one of
+    (sigma_e(i), i) collects e * d_i^-1.  Refusals are those of
     :func:`factorize_invertible`.  AB = I and BA = I are then checked as
     products over the nonzeros of A and of B, each read from the matrix's own
     entries, O(k^2 * n) after B's O(n^2) read; a failure raises RuntimeError.
     """
-    diag, atoms, perms = _invertible_coordinates(matrix)
+    diag, atoms, perms = _atom_coordinates(matrix)
     sr = matrix.semiring
     dinv = [sr.unit_inverse(d) for d in diag]
     inverse = Matrix._make(sr, _rebuild(sr, dinv, zip(atoms.parts, perms))).transpose()
@@ -315,15 +318,15 @@ def gl_encode(matrix):
 
     The units are the row sums and the perms the sigma_e read off each atom e
     of the maximal orthogonal decomposition: e*A has exactly one nonzero per
-    row, at (i, sigma_e(i)).  O(k * n^2) for k atoms; refusals as in
-    :func:`factorize_invertible`.
+    row, at (i, sigma_e(i)).  One O(n^2) read of the support, then
+    O(k^2 * n) for k atoms; refusals as in :func:`factorize_invertible`.
     """
     sr = matrix.semiring
     if not sr.is_finite:
         raise UnsupportedOperationError(
             f"gl_encode needs a finite semiring, not {sr.descriptor()}"
         )
-    diag, atoms, perms = _invertible_coordinates(matrix)
+    diag, atoms, perms = _atom_coordinates(matrix)
     return GlCoordinates(sr, diag, atoms, [Permutation(p) for p in perms])
 
 

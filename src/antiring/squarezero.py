@@ -173,8 +173,9 @@ def min_coloring_search(g, num_colors):
 
     Returns an EdgeColoring or None; None certifies that the digraph needs
     more colors.  Backtracking over the sorted edge list with incidence
-    pruning and ascending first-use of new colors; the first solution in
-    canonical order is returned.  Refuses outright (never truncates) when
+    pruning and ascending first-use of new colors, on an explicit stack, so
+    the edge count is not bounded by the recursion limit; the first solution
+    in canonical order is returned.  Refuses outright (never truncates) when
     num_colors^edges exceeds MAX_COLORING_STATES.
     """
     edges = sorted(g.edges)
@@ -191,29 +192,28 @@ def min_coloring_search(g, num_colors):
     # legitimately share a color, so unwinding must not erase siblings
     incoming = {v: [0] * (num_colors + 1) for v in range(1, g.n + 1)}
     outgoing = {v: [0] * (num_colors + 1) for v in range(1, g.n + 1)}
-    assignment = {}
-
-    def assign(idx, used):
-        if idx == len(edges):
-            return True
+    # an explicit stack, one slot per edge: colors[idx] is edge idx's current
+    # color (0 before its first try), used[idx] the colors in use before it
+    colors = [0] * len(edges)
+    used = [0] * (len(edges) + 1)
+    idx = 0
+    while 0 <= idx < len(edges):
         u, v = edges[idx]
-        cap = min(num_colors, used + 1)  # colors are interchangeable: try one new color only
-        for c in range(1, cap + 1):
-            if incoming[u][c] or outgoing[v][c]:
-                continue
-            assignment[(u, v)] = c
-            outgoing[u][c] += 1
-            incoming[v][c] += 1
-            if assign(idx + 1, max(used, c)):
-                return True
+        c = colors[idx]
+        if c:  # back from a dead end: take this edge's color off again
             outgoing[u][c] -= 1
             incoming[v][c] -= 1
-            del assignment[(u, v)]
-        return False
-
-    if not assign(0, 0):
+        cap = min(num_colors, used[idx] + 1)  # colors are interchangeable: try one new color only
+        free = (c for c in range(c + 1, cap + 1) if not (incoming[u][c] or outgoing[v][c]))
+        c = colors[idx] = next(free, 0)
+        if c:
+            outgoing[u][c] += 1
+            incoming[v][c] += 1
+            used[idx + 1] = max(used[idx], c)
+        idx += 1 if c else -1
+    if idx < 0:
         return None
-    return EdgeColoring(g, assignment, num_colors)
+    return EdgeColoring(g, dict(zip(edges, colors)), num_colors)
 
 
 class SquareZeroDecomposition:

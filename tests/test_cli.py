@@ -62,7 +62,7 @@ def test_check_and_invert_exit_codes(files):
     assert (out.exit_code, out.stdout) == (0, "no\n")
     out = run(["invert", files["upper"]])
     assert out.exit_code == 1
-    assert "(A*A^T)(1,2)" in out.stderr
+    assert "row 1" in out.stderr
     assert out.stdout == ""
 
     out = run(["invert", files["inv"]])
@@ -166,6 +166,12 @@ def test_brute_force_dimension_below_one_is_a_domain_error(n):
         out = run(argv)
         assert (out.exit_code, out.stdout) == (1, "")
         assert out.stderr == "error: dimension must be >= 1\n"
+
+
+def test_brute_force_count_over_a_degenerate_carrier_is_a_domain_error():
+    out = run(["count", "nilpotent", "-n", "1", "--brute-force", "--semiring", "chain:1"])
+    assert (out.exit_code, out.stdout) == (1, "")
+    assert out.stderr.startswith("error: ") and "0 = 1" in out.stderr
 
 
 def test_orthdecomp():

@@ -246,6 +246,37 @@ def test_huge_counts_are_refused_before_any_arithmetic(monkeypatch):
         assert f"{exc.value.required} bits" in str(exc.value) and f"{allowed} bits" in str(exc.value)
 
 
+@pytest.mark.parametrize("row,n", [(ar.nilpotent_count_polynomial, 100), (ar.acyclic_polynomial, 30)])
+def test_public_rows_are_budgeted(row, n):
+    allowed = int(sys.get_int_max_str_digits() * math.log2(10))
+    poly = row(n)
+    for v in (10**40, -(10**40), 10**1000):
+        with pytest.raises(ar.BudgetExceededError) as exc:
+            poly.evaluate(v)
+        assert exc.value.required > allowed
+        assert f"degree-{poly.degree}" in str(exc.value) and f"{allowed} bits" in str(exc.value)
+    # every size the benchmark evaluates stays answered
+    assert ar.nilpotent_count_polynomial(100).evaluate(6) == ar.count_nilpotent(100, 6)
+    assert ar.nilpotent_count_polynomial(32).evaluate(7) == ar.count_nilpotent(32, 7)
+    assert poly.evaluate(1) == sum(poly.coeffs) and poly.evaluate(0) == poly.coeffs[0]
+
+
+def test_a_value_is_answered_exactly_when_it_fits():
+    allowed = int(sys.get_int_max_str_digits() * math.log2(10))
+    # B_2(q) = 2q - 1: at q = 2^(allowed - 1) it has exactly `allowed` bits
+    q = 2 ** (allowed - 1)
+    assert ar.count_nilpotent(2, q) == ar.nilpotent_count_polynomial(2).evaluate(q) == 2 * q - 1
+    for call in (ar.count_nilpotent, lambda n, q: ar.nilpotent_count_polynomial(n).evaluate(q)):
+        with pytest.raises(ar.BudgetExceededError) as exc:
+            call(2, 2 * q)
+        assert exc.value.required == allowed + 1
+    # 7^C(100,2) alone fits, so the row is evaluated and its value refused by size
+    poly = ar.nilpotent_count_polynomial(100)
+    with pytest.raises(ar.BudgetExceededError) as exc:
+        poly.evaluate(7)
+    assert exc.value.required == sum(c * 7**i for i, c in enumerate(poly.coeffs)).bit_length() > allowed
+
+
 def test_answer_budget_follows_the_interpreter_limit():
     digits = sys.get_int_max_str_digits()
     try:

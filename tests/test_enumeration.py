@@ -4,7 +4,11 @@ import random
 import pytest
 
 import antiring as ar
-from antiring.errors import BudgetExceededError, UnsupportedOperationError
+from antiring.errors import (
+    BudgetExceededError,
+    DegenerateSemiringError,
+    UnsupportedOperationError,
+)
 
 
 def test_brute_force_counts():
@@ -114,8 +118,9 @@ def test_search_confirms_maximal_decomposition():
 
 
 def test_orth_decomp_search_carrier_cap():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         ar.orth_decomp_search(ar.powerset(5))  # 32 elements
+    assert exc.value.required == 32  # the carrier size the cap of 16 refuses
     with pytest.raises(UnsupportedOperationError):
         ar.orth_decomp_search(ar.tropical())
 
@@ -146,3 +151,9 @@ def test_infinite_carriers_refused():
 def test_budget_validation():
     with pytest.raises(ValueError):
         ar.EnumerationBudget(max_states=0)
+
+
+def test_brute_force_count_refuses_a_degenerate_carrier():
+    # chain:1 has 0 = 1, which enumerate_gl and orth_decomp_search refuse too
+    with pytest.raises(DegenerateSemiringError):
+        ar.count_nilpotent_bruteforce(ar.chain(1), 1)

@@ -163,6 +163,15 @@ def _colorable_by_dumb_search(g, c):
     return False
 
 
+def test_min_coloring_search_star_needs_no_recursion():
+    # one color: the state bound is 1^e = 1, and the search walks all 1499 edges
+    n = 1500
+    g = ar.Digraph(n, {(1, j) for j in range(2, n + 1)})
+    found = ar.min_coloring_search(g, 1)
+    assert found is not None and set(found.colors.values()) == {1}
+    check_path_incidence_free(found)
+
+
 def test_min_coloring_search_against_dumb_oracle():
     rng = random.Random(18)
     for trial in range(40):
