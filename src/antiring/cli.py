@@ -5,46 +5,30 @@ Exit codes: 0 success, 1 domain error (e.g. a non-invertible input to
 error, 3 budget refusal.  Results go to stdout, diagnostics to stderr, and
 output is deterministic.  ``--format json`` emits the same data as a single
 JSON object.
+
+Start-up is most of a short command's time, so each command imports only its
+own layer, inside its handler: ``count nilpotent -n 5 -q 3`` loads
+``dag_counting`` and nothing of matrices or semirings, ``json`` loads only under
+``--format json``, and a usage error loads no layer at all.
 """
 
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .dag_counting import count_nilpotent, nilpotent_count_polynomial
-from .enumeration import (
-    DEFAULT_BUDGET,
-    EnumerationBudget,
-    count_nilpotent_bruteforce,
-    enumerate_gl,
-)
 from .errors import AntiringError, BudgetExceededError
-from .invertibility import factorize_invertible, invert, is_invertible, max_orthogonal_decomposition
-from .matrices import format_matrix, parse_matrix_file
-from .nilpotency import is_nilpotent, nilpotency_index
-from .semirings import AxiomReport, parse_semiring, parse_tables_file, validate_axioms
-from .squarezero import (
-    decompose_nilpotent,
-    decompose_trace_zero,
-    tracezero_capacity,
-    tracezero_max_dimension,
-)
 
 BUDGET_ENV = "ANTIRING_MAX_STATES"
 
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    stdout: str
-    stderr: str
+CommandOutcome = namedtuple("CommandOutcome", "exit_code stdout stderr")
 
 
 def _budget():
+    from .enumeration import DEFAULT_BUDGET, EnumerationBudget
+
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -69,6 +53,8 @@ def _matrix_payload(matrix):
 
 
 def _matrix_lines(matrix):
+    from .matrices import format_matrix
+
     return format_matrix(matrix).splitlines()
 
 
@@ -76,6 +62,8 @@ def _matrix_lines(matrix):
 
 
 def _cmd_semiring_validate(args):
+    from .semirings import AxiomReport, parse_tables_file, validate_axioms
+
     tables = parse_tables_file(args.tables_file)
     report = validate_axioms(tables)
     lines = []
@@ -95,12 +83,18 @@ def _cmd_semiring_validate(args):
 
 
 def _cmd_invert(args):
+    from .invertibility import invert
+    from .matrices import parse_matrix_file
+
     matrix = parse_matrix_file(args.matrix_file)
     inverse = invert(matrix)
     return _matrix_lines(inverse), {"matrix": _matrix_payload(inverse)}
 
 
 def _cmd_factorize(args):
+    from .invertibility import factorize_invertible
+    from .matrices import parse_matrix_file
+
     matrix = parse_matrix_file(args.matrix_file)
     fact = factorize_invertible(matrix)
     sr = matrix.semiring
@@ -118,18 +112,29 @@ def _cmd_factorize(args):
 
 
 def _cmd_check(args):
-    matrix = parse_matrix_file(args.matrix_file)
-    result = is_nilpotent(matrix) if args.what == "nilpotent" else is_invertible(matrix)
+    from .matrices import parse_matrix_file
+
+    if args.what == "nilpotent":
+        from .nilpotency import is_nilpotent as check
+    else:
+        from .invertibility import is_invertible as check
+    result = check(parse_matrix_file(args.matrix_file))
     return ["yes" if result else "no"], {"check": args.what, "result": result}
 
 
 def _cmd_index(args):
+    from .matrices import parse_matrix_file
+    from .nilpotency import nilpotency_index
+
     matrix = parse_matrix_file(args.matrix_file)
     h = nilpotency_index(matrix)
     return [str(h)], {"index": h}
 
 
 def _cmd_decompose(args):
+    from .matrices import parse_matrix_file
+    from .squarezero import decompose_nilpotent, decompose_trace_zero
+
     matrix = parse_matrix_file(args.matrix_file)
     if args.what == "squarezero":
         dec = decompose_nilpotent(matrix)
@@ -156,6 +161,9 @@ def _cmd_count(args):
             desc = f"chain:{args.q}"
         else:
             raise UsageError("count nilpotent --brute-force needs --semiring or -q")
+        from .enumeration import count_nilpotent_bruteforce
+        from .semirings import parse_semiring
+
         semiring = parse_semiring(desc)
         value = count_nilpotent_bruteforce(semiring, args.n, budget=_budget())
     else:
@@ -163,11 +171,15 @@ def _cmd_count(args):
             raise UsageError("--semiring only applies with --brute-force")
         if args.q is None:
             raise UsageError("count nilpotent needs -q (or --brute-force with --semiring)")
+        from .dag_counting import count_nilpotent
+
         value = count_nilpotent(args.n, args.q)
     return [str(value)], {"count": value}
 
 
 def _cmd_poly(args):
+    from .dag_counting import nilpotent_count_polynomial
+
     poly = nilpotent_count_polynomial(args.n)
     degree = max(poly.degree, 0)
     lines = [f"q^{d} {poly.coefficient(d)}" for d in range(degree, -1, -1)]
@@ -184,6 +196,9 @@ def _cmd_poly(args):
 
 
 def _cmd_gl(args):
+    from .enumeration import enumerate_gl
+    from .semirings import parse_semiring
+
     semiring = parse_semiring(args.semiring)
     matrices = enumerate_gl(semiring, args.n, budget=_budget())
     lines = [f"count {len(matrices)}"]
@@ -193,16 +208,23 @@ def _cmd_gl(args):
 
 
 def _cmd_capacity(args):
+    from .squarezero import tracezero_capacity
+
     value = tracezero_capacity(args.n)
     return [str(value)], {"capacity": value}
 
 
 def _cmd_nmax(args):
+    from .squarezero import tracezero_max_dimension
+
     value = tracezero_max_dimension(args.k)
     return [str(value)], {"max_dimension": value}
 
 
 def _cmd_orthdecomp(args):
+    from .invertibility import max_orthogonal_decomposition
+    from .semirings import parse_semiring
+
     semiring = parse_semiring(args.semiring)
     dec = max_orthogonal_decomposition(semiring)
     parts = [semiring.format_element(p) for p in dec.parts]
@@ -311,6 +333,8 @@ def run(argv):
         return CommandOutcome(1, out.getvalue(), err.getvalue() + "error: out of memory\n")
 
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         text = "\n".join(lines) + "\n" if lines else ""

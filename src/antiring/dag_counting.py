@@ -39,9 +39,7 @@ import math
 import sys
 import threading
 
-from dataclasses import dataclass
-
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Record
 
 #: Largest dimension the counting functions accept.
 MAX_COUNT_N = 100
@@ -111,14 +109,13 @@ class IntPolynomial:
         return f"IntPolynomial({body})"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing positive parts with a fixed sum."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts):
+        super().__init__(tuple(parts))
         for p in self.parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"partition part {p!r} must be a positive integer")

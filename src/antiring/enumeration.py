@@ -8,21 +8,20 @@ rather than sampling.
 """
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import BudgetExceededError, UnsupportedOperationError
+from .errors import BudgetExceededError, Record, UnsupportedOperationError
 from .invertibility import invertibility_failure
 from .matrices import Matrix
 from .semirings import OrthogonalDecomposition
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Record):
     """Hard cap on the number of enumerated states."""
 
-    max_states: int = 10**8
+    __slots__ = ("max_states",)
 
-    def __post_init__(self):
+    def __init__(self, max_states=10**8):
+        super().__init__(max_states)
         if self.max_states < 1:
             raise ValueError("budget needs max_states >= 1")
 

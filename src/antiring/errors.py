@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the immutable record base, shared across the package."""
 
 
 class AntiringError(Exception):
@@ -45,3 +45,43 @@ class BudgetExceededError(AntiringError):
     def __init__(self, message, required=None):
         super().__init__(message)
         self.required = required
+
+
+class Record:
+    """An immutable value with the fields named in ``__slots__``.
+
+    Equality and hash go by type and fields, ``repr`` is
+    ``Name(field=value, ...)``, and assigning a field raises
+    ``AttributeError``.  A subclass's ``__init__`` passes its field values,
+    in slot order, to ``Record.__init__``, then validates them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {self.__class__.__name__}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()

@@ -30,23 +30,19 @@ x -> [e*x != 0], whose layer carries the values e*v of the component e*A.
 No path takes a matrix product.
 """
 
-from dataclasses import dataclass
-
-from .errors import CyclicDigraphError, NotNilpotentError, PreconditionError
+from .errors import CyclicDigraphError, NotNilpotentError, PreconditionError, Record
 from .matrices import Permutation, conjugate_by_permutation
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Vertices 1..n and a set of ordered edges; loops allowed."""
 
-    n: int
-    edges: frozenset
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, edges):
+        if n < 1:
             raise ValueError("digraph needs n >= 1")
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        super().__init__(n, frozenset(edges))
         for (i, j) in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")

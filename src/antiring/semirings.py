@@ -33,13 +33,13 @@ one character, x -> [e*x != 0], and any other needs two or more.  So
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (
     DegenerateSemiringError,
     FormatError,
     PreconditionError,
+    Record,
     UnsupportedOperationError,
 )
 
@@ -445,8 +445,7 @@ class MinPlus(Semiring):
         return INF if token == "inf" else super()._read(token)
 
 
-@dataclass(frozen=True)
-class FiniteTables:
+class FiniteTables(Record):
     """Operation tables of a finite magma pair: the raw data of a candidate semiring.
 
     Construction checks well-formedness only (shape and index range, with the
@@ -454,13 +453,10 @@ class FiniteTables:
     the business of :func:`validate_axioms`.
     """
 
-    size: int
-    add_table: tuple
-    mul_table: tuple
-    zero_index: int
-    one_index: int
+    __slots__ = ("size", "add_table", "mul_table", "zero_index", "one_index")
 
-    def __post_init__(self):
+    def __init__(self, size, add_table, mul_table, zero_index, one_index):
+        super().__init__(size, add_table, mul_table, zero_index, one_index)
         if self.size < 1:
             raise FormatError("table size must be >= 1")
         for name, table in (("add", self.add_table), ("mul", self.mul_table)):
@@ -494,20 +490,12 @@ SEMIRING_LAWS = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of the exhaustive axiom scan over a finite operation table.
 
     ``witnesses`` maps a law name to a tuple of counterexample index tuples;
     a flag is False exactly when one of its laws has witnesses.
     """
-
-    is_semiring: bool
-    is_commutative: bool
-    is_zerosumfree: bool
-    is_entire: bool
-    has_no_nonzero_nilpotents: bool
-    witnesses: dict
 
     FLAGS = (
         "is_semiring",
@@ -516,6 +504,12 @@ class AxiomReport:
         "is_entire",
         "has_no_nonzero_nilpotents",
     )
+    __slots__ = (*FLAGS, "witnesses")
+
+    def __init__(self, is_semiring, is_commutative, is_zerosumfree, is_entire,
+                 has_no_nonzero_nilpotents, witnesses):
+        super().__init__(is_semiring, is_commutative, is_zerosumfree, is_entire,
+                         has_no_nonzero_nilpotents, witnesses)
 
     @property
     def is_commutative_antiring(self):

@@ -245,7 +245,7 @@ def test_exhausted_recursion_is_a_domain_error(monkeypatch):
         def exhausted(n, error=error):
             raise error()
 
-        monkeypatch.setattr(antiring.cli, "nilpotent_count_polynomial", exhausted)
+        monkeypatch.setattr(antiring.dag_counting, "nilpotent_count_polynomial", exhausted)
         out = run(["poly", "-n", "3"])
         assert out.exit_code == 1 and out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1

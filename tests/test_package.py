@@ -1,5 +1,6 @@
 """Checks over the package as a whole: its source files and its demos."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -69,3 +70,85 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(ar.__all__) == PUBLIC_API
+
+
+def _modules_loaded_by(code):
+    """The modules a fresh interpreter loads while running ``code``, beyond
+    those it had at start-up."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    script = (
+        "import sys\nbefore = set(sys.modules)\n" + code
+        + "\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def _layers(modules):
+    return {m for m in modules if m.startswith("antiring.")}
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_loaded_by("import antiring")
+    assert "antiring" in loaded
+    assert _layers(loaded) == set()
+    assert "dataclasses" not in loaded
+
+
+def test_a_counting_command_loads_only_its_layer():
+    loaded = _modules_loaded_by(
+        "import antiring.cli, io, contextlib\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert antiring.cli.main(['count', 'nilpotent', '-n', '5', '-q', '3']) == 0"
+    )
+    assert _layers(loaded) == {"antiring.cli", "antiring.errors", "antiring.dag_counting"}
+    assert not loaded & {"json", "dataclasses", "inspect"}
+
+
+def test_a_usage_error_loads_no_layer():
+    loaded = _modules_loaded_by(
+        "import antiring.cli, io, contextlib\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert antiring.cli.main(['count', 'nilpotent', '-q', '3']) == 2"
+    )
+    assert _layers(loaded) == {"antiring.cli", "antiring.errors"}
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
+def test_module_does_not_import_dataclasses(module):
+    """``dataclasses`` pulls in ``inspect``, a large share of start-up; the
+    record classes derive from ``errors.Record`` instead."""
+    assert "dataclasses" not in (PACKAGE_DIR / module).read_text()
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in ar.__all__:
+        if name in ar._HOME:
+            home = importlib.import_module(f"antiring.{ar._HOME[name]}")
+            assert getattr(ar, name) is getattr(home, name), name
+        else:
+            assert getattr(ar, name) is importlib.import_module(f"antiring.{name}")
+
+
+def test_dir_lists_the_public_names():
+    assert set(ar.__all__) <= set(dir(ar))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from antiring import *", namespace)
+    assert set(ar.__all__) <= set(namespace)
+    assert namespace["Matrix"] is ar.matrices.Matrix
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ar.no_such_name
+    assert not hasattr(ar, "no_such_name")
