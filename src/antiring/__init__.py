@@ -20,7 +20,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "dag_counting": """MAX_COUNT_N IntPolynomial Partition acyclic_polynomial
         acyclic_polynomial_partition_form count_nilpotent nilpotent_count_polynomial
-        partitions""",
+        partitions tracezero_capacity tracezero_max_dimension""",
     "enumeration": """EnumerationBudget count_nilpotent_bruteforce enumerate_gl
         orth_decomp_search""",
     "errors": """AntiringError BudgetExceededError CyclicDigraphError
@@ -39,7 +39,7 @@ _EXPORTS = {
         parse_tables_file powerset table_semiring to_tables tropical validate_axioms""",
     "squarezero": """EdgeColoring SquareZeroDecomposition complete_digraph_coloring
         decompose_nilpotent decompose_trace_zero min_coloring_search
-        tournament_coloring tracezero_capacity tracezero_max_dimension""",
+        tournament_coloring""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

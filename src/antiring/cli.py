@@ -208,14 +208,14 @@ def _cmd_gl(args):
 
 
 def _cmd_capacity(args):
-    from .squarezero import tracezero_capacity
+    from .dag_counting import tracezero_capacity
 
     value = tracezero_capacity(args.n)
     return [str(value)], {"capacity": value}
 
 
 def _cmd_nmax(args):
-    from .squarezero import tracezero_max_dimension
+    from .dag_counting import tracezero_max_dimension
 
     value = tracezero_max_dimension(args.k)
     return [str(value)], {"max_dimension": value}

@@ -33,6 +33,10 @@ Published tables of these polynomials are not all reliable: the 4-vertex
 polynomial has constant term -1 (the count 543 at q = 2 pins it down), and
 printed 6-vertex rows circulate with wrong signs.  The recurrence plus
 brute-force enumeration are the ground truth here.
+
+The two integer formulas of the square-zero splittings,
+``tracezero_capacity`` and ``tracezero_max_dimension``, live here too: they
+need no matrix, so the CLI answers them without loading the matrix layers.
 """
 
 import math
@@ -45,7 +49,7 @@ from .errors import BudgetExceededError, Record
 MAX_COUNT_N = 100
 
 
-class IntPolynomial:
+class IntPolynomial(Record):
     """A polynomial with arbitrary-precision integer coefficients.
 
     Coefficients are stored low degree first with no trailing zeros; the
@@ -58,7 +62,7 @@ class IntPolynomial:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        super().__init__(tuple(coeffs))
 
     @property
     def degree(self):
@@ -93,20 +97,6 @@ class IntPolynomial:
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += c * a[j + 1]
         return IntPolynomial(a)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "IntPolynomial(0)"
-        body = " + ".join(
-            f"{c}*x^{d}" for d, c in enumerate(self.coeffs) if c
-        )
-        return f"IntPolynomial({body})"
 
 
 class Partition(Record):
@@ -245,3 +235,31 @@ def count_nilpotent(n, q):
         bits = math.lgamma(n + 1) / math.log(2) + math.comb(n, 2) * math.log2(q)
         ensure_answer_fits(math.ceil(bits), f"B_{n}(q) at a {q.bit_length()}-bit q")
     return _q_row(n).evaluate(q)
+
+
+def tracezero_capacity(n):
+    """The least N whose central binomial C(N, ceil(N/2)) reaches n.
+
+    This is the sharp number of square-zero summands needed for every n x n
+    trace-zero matrix.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    big_n, central = 0, 1  # central = C(big_n, ceil(big_n/2))
+    while central < n:
+        big_n += 1
+        central = central * big_n // ((big_n + 1) // 2)
+    return big_n
+
+
+def tracezero_max_dimension(k):
+    """C(k, ceil(k/2)): the largest dimension k square-zero summands can cover.
+
+    Grows like 2^k / sqrt(k) by Stirling; this function stays exact and
+    leaves the asymptotics to the reader.  Below 2^k, so at most k bits,
+    which the answer budget bounds first.
+    """
+    if k < 0:
+        raise ValueError("summand count must be >= 0")
+    ensure_answer_fits(k, f"C({k}, {(k + 1) // 2})")
+    return math.comb(k, (k + 1) // 2)

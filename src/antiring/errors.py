@@ -52,8 +52,11 @@ class Record:
 
     Equality and hash go by type and fields, ``repr`` is
     ``Name(field=value, ...)``, and assigning a field raises
-    ``AttributeError``.  A subclass's ``__init__`` passes its field values,
-    in slot order, to ``Record.__init__``, then validates them.
+    ``AttributeError``.  Every value type of the package is a Record whose
+    slots are exactly its constructor's parameters, in order: copy and pickle
+    rebuild it as ``cls(*fields)``, through its validation.  A subclass's
+    ``__init__`` passes its field values, in slot order, to
+    ``Record.__init__``, then validates them.
     """
 
     __slots__ = ()

@@ -23,12 +23,12 @@ The definition (A*A^T and A^T*A diagonal with unit diagonals) is kept as
 with that pass.
 """
 
-from .errors import NotInvertibleError, UnsupportedOperationError
+from .errors import NotInvertibleError, Record, UnsupportedOperationError
 from .matrices import Matrix, Permutation
 from .semirings import OrthogonalDecomposition
 
 
-class InvertibleFactorization:
+class InvertibleFactorization(Record):
     """The data (D; {(a_s, s)}) of the invertibility factorization.
 
     ``diag`` is the diagonal of D (each entry a unit); ``terms`` pairs each
@@ -36,38 +36,32 @@ class InvertibleFactorization:
     one-line form.  The coefficients form an orthogonal decomposition of 1.
     """
 
-    __slots__ = ("semiring", "n", "diag", "terms")
+    __slots__ = ("semiring", "diag", "terms")
 
     def __init__(self, semiring, diag, terms):
-        diag = tuple(semiring.coerce(v) for v in diag)
-        terms = tuple((semiring.coerce(a), p) for a, p in terms)
-        n = len(diag)
-        for v in diag:
+        terms = ((semiring.coerce(a), p) for a, p in terms)
+        super().__init__(semiring, tuple(semiring.coerce(v) for v in diag),
+                         tuple(sorted(terms, key=lambda t: t[1].images)))
+        for v in self.diag:
             if semiring.unit_inverse(v) is None:
                 raise ValueError(f"diagonal entry {semiring.format_element(v)} is not a unit")
-        for _, p in terms:
-            if p.n != n:
+        for _, p in self.terms:
+            if p.n != self.n:
                 raise ValueError("term permutation size does not match the diagonal")
         # validates nonzero, sum = 1, pairwise orthogonal
-        OrthogonalDecomposition(semiring, [a for a, _ in terms])
-        self.semiring = semiring
-        self.n = n
-        self.diag = diag
-        self.terms = tuple(sorted(terms, key=lambda t: t[1].images))
+        OrthogonalDecomposition(semiring, [a for a, _ in self.terms])
+
+    @property
+    def n(self):
+        return len(self.diag)
 
     def reconstruct(self):
         """D * sum(a_s * P_s) as a Matrix."""
         terms = ((a, p.images) for a, p in self.terms)
         return Matrix._make(self.semiring, _rebuild(self.semiring, self.diag, terms))
 
-    def __repr__(self):
-        return (
-            f"InvertibleFactorization(n={self.n}, "
-            f"terms={[(self.semiring.format_element(a), p.images) for a, p in self.terms]})"
-        )
 
-
-class GlCoordinates:
+class GlCoordinates(Record):
     """Semidirect-product coordinates of an invertible matrix.
 
     ``units`` is the diagonal of D; ``perms`` holds one permutation per atom
@@ -78,40 +72,19 @@ class GlCoordinates:
     __slots__ = ("semiring", "units", "atoms", "perms")
 
     def __init__(self, semiring, units, atoms, perms):
-        units = tuple(semiring.coerce(u) for u in units)
-        perms = tuple(perms)
-        for u in units:
+        super().__init__(semiring, tuple(semiring.coerce(u) for u in units), atoms, tuple(perms))
+        for u in self.units:
             if semiring.unit_inverse(u) is None:
                 raise ValueError(f"{semiring.format_element(u)} is not a unit")
         if atoms.semiring != semiring:
             raise ValueError("atom decomposition belongs to a different semiring")
-        if len(perms) != atoms.length:
+        if len(self.perms) != atoms.length:
             raise ValueError(
-                f"need one permutation per atom: got {len(perms)} for {atoms.length} atoms"
+                f"need one permutation per atom: got {len(self.perms)} for {atoms.length} atoms"
             )
-        n = len(units)
-        for p in perms:
-            if p.n != n:
+        for p in self.perms:
+            if p.n != len(self.units):
                 raise ValueError("permutation size does not match the unit vector")
-        self.semiring = semiring
-        self.units = units
-        self.atoms = atoms
-        self.perms = perms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GlCoordinates)
-            and self.semiring == other.semiring
-            and self.units == other.units
-            and self.atoms == other.atoms
-            and self.perms == other.perms
-        )
-
-    def __hash__(self):
-        return hash((self.semiring, self.units, self.atoms, self.perms))
-
-    def __repr__(self):
-        return f"GlCoordinates(units={self.units}, perms={[p.images for p in self.perms]})"
 
 
 def invertibility_failure(matrix):

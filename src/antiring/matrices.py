@@ -13,11 +13,11 @@ were slower.
 import itertools
 import os
 
-from .errors import FormatError
+from .errors import FormatError, Record
 from .semirings import parse_semiring, strip_comments
 
 
-class Permutation:
+class Permutation(Record):
     """A bijection of {1..n}, stored as the tuple of images.
 
     ``p(i)`` is the image of i.  Composition is matrix-oriented:
@@ -29,11 +29,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{n}")
-        self.images = images
+        super().__init__(tuple(images))
+        n = len(self.images)
+        if sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
 
     @property
     def n(self):
@@ -65,18 +64,6 @@ class Permutation:
 
     def one_line(self):
         return " ".join(str(i) for i in self.images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __repr__(self):
-        return f"Permutation({self.images})"
 
 
 class Matrix:

@@ -78,6 +78,11 @@ class Semiring:
     def __repr__(self):
         return f"<semiring {self.descriptor()}>"
 
+    def __reduce__(self):
+        # rebuilt from the descriptor, so a built-in unpickles as its cached
+        # instance and the atoms and characters kept on it are not pickled
+        return parse_semiring, (self.descriptor(),)
+
     def descriptor(self):
         """The textual name used in matrix files, e.g. ``chain:3``."""
         raise NotImplementedError
@@ -227,7 +232,7 @@ class Semiring:
         return value
 
 
-class OrthogonalDecomposition:
+class OrthogonalDecomposition(Record):
     """Nonzero elements summing to 1 with pairwise products 0.
 
     Parts are kept in canonical carrier order.  Each part is necessarily
@@ -238,6 +243,7 @@ class OrthogonalDecomposition:
 
     def __init__(self, semiring, parts):
         parts = tuple(sorted((semiring.coerce(p) for p in parts), key=semiring.sort_key))
+        super().__init__(semiring, parts)
         if not parts:
             raise ValueError("orthogonal decomposition needs at least one part")
         zero, one = semiring.zero, semiring.one
@@ -264,26 +270,10 @@ class OrthogonalDecomposition:
                 raise ValueError(
                     f"part {semiring.format_element(p)} is not idempotent"
                 )
-        self.semiring = semiring
-        self.parts = parts
 
     @property
     def length(self):
         return len(self.parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrthogonalDecomposition)
-            and self.semiring == other.semiring
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((self.semiring, self.parts))
-
-    def __repr__(self):
-        body = ", ".join(self.semiring.format_element(p) for p in self.parts)
-        return f"OrthogonalDecomposition({self.semiring.descriptor()}, [{body}])"
 
 
 def _parse_int(token, what):
@@ -603,6 +593,9 @@ class TableSemiring(Semiring):
         self.mul = lambda a, b: mul_t[a][b]
         self._report = None
         self._units = None
+
+    def __reduce__(self):
+        return TableSemiring, (self.tables, self.source)
 
     def _key(self):
         return (

@@ -35,9 +35,8 @@ the sharpness of both color counts.
 """
 
 import itertools
-import math
 
-from .dag_counting import ensure_answer_fits
+from .dag_counting import tracezero_capacity
 from .errors import BudgetExceededError, PreconditionError
 from .matrices import Matrix
 from .nilpotency import _nilpotent_layers, complete_digraph, transitive_tournament
@@ -107,34 +106,6 @@ def tournament_coloring(n):
     g = transitive_tournament(n)
     colors = {(i, j): _binary_color(i - 1, j - 1) for (i, j) in g.edges}
     return EdgeColoring(g, colors, (n - 1).bit_length())
-
-
-def tracezero_capacity(n):
-    """The least N whose central binomial C(N, ceil(N/2)) reaches n.
-
-    This is the sharp number of square-zero summands needed for every n x n
-    trace-zero matrix.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    big_n, central = 0, 1  # central = C(big_n, ceil(big_n/2))
-    while central < n:
-        big_n += 1
-        central = central * big_n // ((big_n + 1) // 2)
-    return big_n
-
-
-def tracezero_max_dimension(k):
-    """C(k, ceil(k/2)): the largest dimension k square-zero summands can cover.
-
-    Grows like 2^k / sqrt(k) by Stirling; this function stays exact and
-    leaves the asymptotics to the reader.  Below 2^k, so at most k bits,
-    which the answer budget bounds first.
-    """
-    if k < 0:
-        raise ValueError("summand count must be >= 0")
-    ensure_answer_fits(k, f"C({k}, {(k + 1) // 2})")
-    return math.comb(k, (k + 1) // 2)
 
 
 def _subset_labels(n):

@@ -117,6 +117,14 @@ def test_small_closed_forms():
     assert ar.nilpotent_count_polynomial(5).coeffs == (1, 0, 0, 0, -10, 0, -20, 60, 90, -240, 120)
 
 
+def test_a_cached_row_cannot_be_reassigned():
+    """The rows are shared from the table: writing one would change every
+    later count in the process."""
+    with pytest.raises(AttributeError):
+        ar.nilpotent_count_polynomial(3).coeffs = (0,)
+    assert ar.count_nilpotent(3, 2) == 25
+
+
 def test_counts_at_small_q():
     assert ar.count_nilpotent(2, 1) == 1
     assert ar.count_nilpotent(2, 3) == 5

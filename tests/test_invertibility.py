@@ -209,6 +209,18 @@ def test_max_orthogonal_decomposition_errors():
     assert ar.tropical().atoms.parts == (0,)
 
 
+def test_the_cached_atoms_cannot_be_reassigned():
+    """The atoms are shared from the semiring: writing them would change
+    every later answer over it."""
+    p2 = ar.powerset(2)
+    swap = ar.Matrix(p2, [[{1}, {2}], [{2}, {1}]])
+    assert ar.is_invertible(swap)
+    with pytest.raises(AttributeError):
+        p2.atoms.parts = (frozenset({1, 2}),)
+    assert p2.atoms.parts == (frozenset({1}), frozenset({2}))
+    assert ar.is_invertible(swap)
+
+
 def test_orthogonal_decomposition_validation():
     p2 = ar.powerset(2)
     with pytest.raises(ValueError, match="nonzero"):

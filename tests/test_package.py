@@ -1,5 +1,6 @@
 """Checks over the package as a whole: its source files and its demos."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -28,6 +29,22 @@ def test_module_reads_no_semiring_kind(module):
     """Behaviour that differs by carrier lives on the semiring: only semirings.py
     reads ``.kind``, so a type switch elsewhere cannot return unnoticed."""
     assert ".kind" not in (PACKAGE_DIR / module).read_text()
+
+
+def test_only_the_record_base_and_the_two_carriers_define_equality():
+    """Value types derive from ``errors.Record`` for equality, hash, repr and
+    immutability; a hand-written ``__eq__`` or ``__hash__`` elsewhere would
+    bring back a mutable value class."""
+    defining = {
+        (path.name, node.name)
+        for path in PACKAGE_DIR.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__")
+                for f in node.body)
+    }
+    assert defining == {("errors.py", "Record"), ("matrices.py", "Matrix"),
+                        ("semirings.py", "Semiring")}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
@@ -101,11 +118,14 @@ def test_import_loads_no_submodule():
     assert "dataclasses" not in loaded
 
 
-def test_a_counting_command_loads_only_its_layer():
+@pytest.mark.parametrize("argv", [
+    ["count", "nilpotent", "-n", "5", "-q", "3"], ["capacity", "-n", "7"], ["nmax", "-k", "4"],
+], ids=["count", "capacity", "nmax"])
+def test_a_counting_command_loads_only_its_layer(argv):
     loaded = _modules_loaded_by(
         "import antiring.cli, io, contextlib\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert antiring.cli.main(['count', 'nilpotent', '-n', '5', '-q', '3']) == 0"
+        f"    assert antiring.cli.main({argv!r}) == 0"
     )
     assert _layers(loaded) == {"antiring.cli", "antiring.errors", "antiring.dag_counting"}
     assert not loaded & {"json", "dataclasses", "inspect"}

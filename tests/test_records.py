@@ -14,6 +14,9 @@ BOOL_TABLES = dict(size=2, add_table=((0, 1), (1, 1)), mul_table=((0, 0), (0, 1)
                    zero_index=0, one_index=1)
 REPORT_FIELDS = dict(is_semiring=True, is_commutative=True, is_zerosumfree=True,
                      is_entire=True, has_no_nonzero_nilpotents=True, witnesses={})
+C3, P2 = ar.chain(3), ar.powerset(2)
+A1, A2, TOP = frozenset({1}), frozenset({2}), frozenset({1, 2})
+SWAP, IDENTITY = ar.Permutation((2, 1)), ar.Permutation((1, 2))
 
 # (class, keyword fields, the same record built positionally, a record with another field)
 CASES = [
@@ -26,6 +29,19 @@ CASES = [
      ar.FiniteTables(**{**BOOL_TABLES, "add_table": ((0, 1), (1, 0))})),
     (ar.AxiomReport, REPORT_FIELDS, lambda: ar.AxiomReport(*REPORT_FIELDS.values()),
      ar.AxiomReport(**{**REPORT_FIELDS, "is_entire": False})),
+    (ar.Permutation, dict(images=(2, 3, 1)), lambda: ar.Permutation([2, 3, 1]),
+     ar.Permutation((1, 2, 3))),
+    (ar.OrthogonalDecomposition, dict(semiring=P2, parts=(A1, A2)),
+     lambda: ar.OrthogonalDecomposition(P2, [{2}, {1}]), ar.OrthogonalDecomposition(P2, [TOP])),
+    (ar.InvertibleFactorization,
+     dict(semiring=P2, diag=(TOP, TOP), terms=((A1, IDENTITY), (A2, SWAP))),
+     lambda: ar.InvertibleFactorization(P2, [{1, 2}] * 2, [({2}, SWAP), ({1}, IDENTITY)]),
+     ar.InvertibleFactorization(P2, (TOP, TOP), ((A1, SWAP), (A2, IDENTITY)))),
+    (ar.GlCoordinates, dict(semiring=C3, units=(2, 2), atoms=C3.atoms, perms=(SWAP,)),
+     lambda: ar.GlCoordinates(C3, [2, 2], ar.OrthogonalDecomposition(C3, [2]), [SWAP]),
+     ar.GlCoordinates(C3, (2, 2), C3.atoms, (IDENTITY,))),
+    (ar.IntPolynomial, dict(coeffs=(1, 0, -6, 6)), lambda: ar.IntPolynomial([1, 0, -6, 6, 0]),
+     ar.IntPolynomial((-1, 2))),
 ]
 IDS = [case[0].__name__ for case in CASES]
 

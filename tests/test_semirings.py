@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 
@@ -217,6 +218,28 @@ def test_semiring_equality_follows_the_descriptor():
     fresh = ar.semirings.Chain(3)
     assert fresh is not ar.chain(3) and fresh == ar.chain(3)
     assert hash(fresh) == hash(ar.chain(3))
+
+
+@pytest.mark.parametrize("name", ["boolean", "chain:3", "powerset:2", "naturals", "tropical"])
+def test_a_builtin_unpickles_as_its_cached_instance(name):
+    sr = ar.parse_semiring(name)
+    assert pickle.loads(pickle.dumps(sr)) is sr
+
+
+def test_a_matrix_pickles_after_its_atoms_were_read():
+    c3 = ar.chain(3)
+    a = ar.Matrix(c3, [[0, 2], [2, 0]])
+    ar.gl_encode(a)  # reads and keeps c3.atoms
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_a_table_semiring_pickles_after_its_atoms_were_read():
+    table = ar.table_semiring(ar.to_tables(ar.powerset(2)), source="p2.txt")
+    atoms = table.atoms
+    back = pickle.loads(pickle.dumps(ar.Matrix(table, [[1, 2], [2, 1]])))
+    assert back.semiring == table and back.semiring.descriptor() == "table:p2.txt"
+    assert back.semiring.atoms == atoms
+    assert ar.is_invertible(back)
 
 
 def test_element_parse_and_format():
