@@ -4,7 +4,10 @@ Everything here enumerates full matrix spaces (or subsets of a carrier) and
 tests definitions directly, so the rest of the package has an independent
 oracle to agree with.  Enumerations iterate a mixed-radix counter over the
 entries in row-major order; a budget refuses oversized state spaces outright
-rather than sampling.
+rather than sampling.  The nilpotent count scans grids of carrier indices and
+multiplies through the index tables of ``to_tables``, built only at n >= 2,
+where they are no larger than the scan; ``enumerate_gl`` scans payload grids
+and tests each with ``invertibility_failure``.
 """
 
 import itertools
@@ -12,7 +15,7 @@ import itertools
 from .errors import BudgetExceededError, Record, UnsupportedOperationError
 from .invertibility import invertibility_failure
 from .matrices import Matrix
-from .semirings import OrthogonalDecomposition
+from .semirings import OrthogonalDecomposition, to_tables
 
 
 class EnumerationBudget(Record):
@@ -40,84 +43,85 @@ def _require_finite(semiring):
 
 
 def _check_budget(semiring, n, budget):
-    """Refuse a dimension below 1, then a matrix space over the budget."""
+    """Refuse a dimension below 1, then a matrix space over the budget.
+
+    The count size^(n*n) is grown by repeated multiplication only while it is
+    at most the square of the larger of this budget and the default one, so
+    refusing a huge n takes a few dozen steps, and ``required`` is exact up
+    to that bound.  The refusal words the count as size^(n*n), with its
+    value while that is at most the default budget squared, and as more
+    than the budget when the carrier alone is larger than that.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    total = semiring.size ** (n * n)
-    if total > budget.max_states:
+    size, cells = semiring.size, n * n
+    cap = max(budget.max_states, DEFAULT_BUDGET.max_states) ** 2
+    total = 1
+    for _ in range(cells):
+        total *= size
+        if total > cap:
+            total = None
+            break
+    if total is None or total > budget.max_states:
+        shown = DEFAULT_BUDGET.max_states ** 2  # the largest number printed in full
+        count = f"{size}^{cells}" if size <= shown else f"more than {budget.max_states}"
+        if total is not None and total <= shown:
+            count += f" = {total}"
         raise BudgetExceededError(
-            f"{semiring.descriptor()} has {semiring.size}^{n * n} = {total} matrices, "
-            f"over the budget of {budget.max_states}",
+            f"{semiring.descriptor()} has {count} matrices, over the budget of {budget.max_states}",
             required=total,
         )
-
-
-def _grids(elements, n):
-    """Every n x n grid over the elements, in row-major mixed-radix counter
-    order: the last entry varies fastest."""
-    for flat in itertools.product(elements, repeat=n * n):
-        yield tuple(flat[r * n:(r + 1) * n] for r in range(n))
-
-
-def _grid_mul(add, mul, zero, a, b, n):
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            v = arow[k]
-            if v == zero:
-                continue
-            brow = b[k]
-            for j in range(n):
-                w = brow[j]
-                if w == zero:
-                    continue
-                t = mul(v, w)
-                orow[j] = t if orow[j] == zero else add(orow[j], t)
-    return [tuple(r) for r in out]
-
-
-def _grid_is_zero(grid, zero):
-    return all(v == zero for row in grid for v in row)
-
-
-def _grid_power_is_zero(add, mul, zero, grid, n, e):
-    """Whether grid^e = 0 (e >= 1), by square-and-multiply with early exit.
-
-    A product with the zero matrix is zero in any semiring, so the moment the
-    accumulator or the running square hits zero (with exponent bits left) the
-    final power is zero.
-    """
-    result = None  # identity so far
-    base = grid
-    while True:
-        if e & 1:
-            result = base if result is None else _grid_mul(add, mul, zero, result, base, n)
-            if _grid_is_zero(result, zero):
-                return True
-        e >>= 1
-        if not e:
-            return False  # result is set (e started >= 1) and is nonzero
-        base = _grid_mul(add, mul, zero, base, base, n)
-        if _grid_is_zero(base, zero):
-            return True  # a remaining bit of e multiplies the result by zero
 
 
 def count_nilpotent_bruteforce(semiring, n, budget=DEFAULT_BUDGET):
     """Count matrices with A^n = 0 by scanning the whole matrix space.
 
-    Refuses a degenerate carrier (0 = 1), as ``enumerate_gl`` does.
+    Each matrix is a flat row-major grid of carrier indices, and A^n is taken
+    by square-and-multiply through the index tables of ``to_tables``, built
+    only when there is a product to take (n >= 2).  Refuses a degenerate
+    carrier (0 = 1), as ``enumerate_gl`` does.
     """
     _require_finite(semiring)
     semiring.ensure_nondegenerate()
     _check_budget(semiring, n, budget)
-    add, mul, zero = semiring.add, semiring.mul, semiring.zero
-    return sum(
-        1
-        for grid in _grids(semiring.elements(), n)
-        if _grid_power_is_zero(add, mul, zero, grid, n, n)
-    )
+    grids = itertools.product(range(semiring.size), repeat=n * n)
+    if n == 1:  # A^1 = A
+        zero = semiring.elements().index(semiring.zero)
+        return sum(1 for (v,) in grids if v == zero)
+    tables = to_tables(semiring)
+    add, mul, zero = tables.add_table, tables.mul_table, tables.zero_index
+    zero_grid = (zero,) * (n * n)
+    row_starts = range(0, n * n, n)
+    # left-to-right square-and-multiply: for each bit of n below the top one,
+    # square the power (False), then multiply it by A (True) if the bit is set
+    *steps, last = [by_a for bit in bin(n)[3:] for by_a in (False, True)[:int(bit) + 1]]
+
+    def entries(a, b):
+        """The entries of the grid a*b, row-major, one at a time."""
+        cols = [b[j::n] for j in range(n)]
+        for i in row_starts:
+            row = a[i:i + n]
+            for col in cols:
+                s = zero
+                for x, y in zip(row, col):
+                    s = add[s][mul[x][y]]
+                yield s
+
+    def power_is_zero(grid):
+        # A product with the zero matrix is zero in any semiring, so a zero
+        # power ends the test, and the last product is read only up to its
+        # first nonzero entry.
+        power = grid
+        for by_a in steps:
+            power = tuple(entries(power, grid if by_a else power))
+            if power == zero_grid:
+                return True
+        for s in entries(power, grid if last else power):
+            if s != zero:
+                return False
+        return True
+
+    return sum(1 for grid in grids if power_is_zero(grid))
 
 
 def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
@@ -130,8 +134,8 @@ def enumerate_gl(semiring, n, budget=DEFAULT_BUDGET):
     semiring.ensure_nondegenerate()
     _check_budget(semiring, n, budget)
     found = []
-    for grid in _grids(semiring.elements(), n):
-        m = Matrix._make(semiring, grid)
+    for flat in itertools.product(semiring.elements(), repeat=n * n):
+        m = Matrix._make(semiring, tuple(flat[i:i + n] for i in range(0, n * n, n)))
         if invertibility_failure(m) is None:
             found.append(m)
     return found

@@ -91,25 +91,34 @@ def invertibility_failure(matrix):
     """None when the matrix is invertible, else a message naming the violation.
 
     The definition over a commutative antiring: A*A^T and A^T*A are diagonal
-    with every diagonal entry a unit.  Two matrix products, so O(n^3); the
-    library decides invertibility, and words its refusals, from the atoms
-    of 1 and never calls this.  It is the oracle of the tests and of
-    ``enumerate_gl``.
+    with every diagonal entry a unit.  Entry (i, j) of A*A^T is rows i and j
+    of A multiplied entrywise and summed, and of A^T*A the same over columns.
+    The entries are computed one at a time, A*A^T first and per row the
+    off-diagonal entries in column order and then the diagonal, and the first
+    violated entry is the answer: O(n^3) at worst.  The library decides
+    invertibility, and words its refusals, from the atoms of 1 and never
+    calls this.  It is the oracle of the tests and of ``enumerate_gl``.
     """
-    matrix.semiring.ensure_antiring()
     sr = matrix.semiring
-    zero = sr.zero
-    at = matrix.transpose()
-    for name, prod in (("A*A^T", matrix @ at), ("A^T*A", at @ matrix)):
-        for i in range(1, prod.n + 1):
-            for j in range(1, prod.n + 1):
-                v = prod.entry(i, j)
-                if i != j and v != zero:
-                    return (
-                        f"({name})({i},{j}) = {sr.format_element(v)} is nonzero "
-                        f"off the diagonal"
-                    )
-            d = prod.entry(i, i)
+    sr.ensure_antiring()
+    add, mul, zero = sr.add, sr.mul, sr.zero
+
+    def entry(u, v):
+        s = zero
+        for a, b in zip(u, v):
+            if a == zero or b == zero:
+                continue  # 0 * x = 0 and y + 0 = y in every semiring
+            t = mul(a, b)
+            s = t if s == zero else add(s, t)
+        return s
+
+    rows = matrix.rows
+    for name, vecs in (("A*A^T", rows), ("A^T*A", tuple(zip(*rows)))):
+        for i, u in enumerate(vecs, 1):
+            for j, v in enumerate(vecs, 1):
+                if j != i and (w := entry(u, v)) != zero:
+                    return f"({name})({i},{j}) = {sr.format_element(w)} is nonzero off the diagonal"
+            d = entry(u, u)
             if sr.unit_inverse(d) is None:
                 return f"({name})({i},{i}) = {sr.format_element(d)} is not a unit"
     return None

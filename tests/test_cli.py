@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -199,6 +200,37 @@ def test_budget_exit_3(files, monkeypatch):
     monkeypatch.setenv("ANTIRING_MAX_STATES", "not-a-number")
     out = run(["count", "nilpotent", "-n", "3", "-q", "2", "--brute-force"])
     assert out.exit_code == 2
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["count", "nilpotent", "-n", "100", "--brute-force", "--semiring", "chain:3"], "3^10000"),
+    (["gl", "enumerate", "--semiring", "chain:3", "-n", "100"], "3^10000"),
+    (["count", "nilpotent", "-n", "50", "--brute-force", "--semiring", "chain:3"], "3^2500"),
+    (["count", "nilpotent", "-n", "20000", "--brute-force", "--semiring", "chain:3"], "3^400000000"),
+    (["gl", "enumerate", "--semiring", "powerset:20000", "-n", "1"], "more than 100000000"),
+])
+def test_oversized_brute_force_is_refused_at_once(argv, count):
+    start = time.perf_counter()
+    out = run(argv)
+    assert time.perf_counter() - start < 1
+    assert out.exit_code == 3 and out.stdout == ""
+    desc = argv[argv.index("--semiring") + 1]
+    assert out.stderr == f"error: {desc} has {count} matrices, over the budget of 100000000\n"
+
+
+def test_a_huge_budget_still_words_a_refusal(monkeypatch):
+    # 3^9025 ~ 1e4306 and 2^14500 ~ 1e4365 are under this budget squared,
+    # but too long to print
+    budget = 10**2200
+    monkeypatch.setenv("ANTIRING_MAX_STATES", str(budget))
+    for argv, count in (
+        (["count", "nilpotent", "-n", "95", "--brute-force", "--semiring", "chain:3"], "3^9025"),
+        (["gl", "enumerate", "--semiring", "powerset:14500", "-n", "1"], f"more than {budget}"),
+    ):
+        out = run(argv)
+        assert out.exit_code == 3 and out.stdout == ""
+        desc = argv[argv.index("--semiring") + 1]
+        assert out.stderr == f"error: {desc} has {count} matrices, over the budget of {budget}\n"
 
 
 def test_missing_file_is_domain_error():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,12 +11,51 @@ from antiring.errors import (
     UnsupportedOperationError,
 )
 
+from conftest import relabeled
+
 
 def test_brute_force_counts():
     assert ar.count_nilpotent_bruteforce(ar.boolean(), 2) == 3
     assert ar.count_nilpotent_bruteforce(ar.boolean(), 3) == 25
     assert ar.count_nilpotent_bruteforce(ar.chain(3), 2) == 5
     assert ar.count_nilpotent_bruteforce(ar.powerset(2), 2) == 9
+
+
+def zmod4(labels):
+    """Z/4 as a table semiring in which residue r has index labels[r]: not an
+    antiring, and 2 is a nonzero nilpotent."""
+    add = [[0] * 4 for _ in range(4)]
+    mul = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            add[labels[a]][labels[b]] = labels[(a + b) % 4]
+            mul[labels[a]][labels[b]] = labels[a * b % 4]
+    return ar.table_semiring(ar.FiniteTables(
+        size=4, add_table=tuple(map(tuple, add)), mul_table=tuple(map(tuple, mul)),
+        zero_index=labels[0], one_index=labels[1],
+    ))
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 2, 3), (2, 0, 3, 1)])
+def test_brute_force_counts_over_z4(labels):
+    assert [ar.count_nilpotent_bruteforce(zmod4(labels), n) for n in (1, 2)] == [1, 28]
+
+
+def test_brute_force_count_where_zero_is_not_index_0():
+    sr, index = relabeled(ar.powerset(2), (3, 1, 0, 2))
+    assert index[frozenset()] == 3
+    assert ar.count_nilpotent_bruteforce(sr, 2) == 9
+
+
+def test_brute_force_count_at_n1_builds_no_tables():
+    # A^1 = A takes no product: the 3000 x 3000 tables would be ~150 MB
+    tracemalloc.start()
+    try:
+        assert ar.count_nilpotent_bruteforce(ar.chain(3000), 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_brute_force_agrees_with_formula():
@@ -132,6 +172,19 @@ def test_budget_refusal_is_upfront():
     assert exc.value.required == 512
     with pytest.raises(BudgetExceededError):
         ar.enumerate_gl(ar.boolean(), 3, budget=budget)
+
+
+def test_refusal_carries_the_exact_count_up_to_the_budget_squared():
+    budget = ar.EnumerationBudget(max_states=10**9)
+    with pytest.raises(BudgetExceededError) as exc:
+        ar.count_nilpotent_bruteforce(ar.chain(3), 6, budget=budget)
+    assert exc.value.required == 3**36  # ~1.5e17 <= 1e18, past the printed 1e16
+    assert str(exc.value) == f"chain:3 has 3^36 matrices, over the budget of {10**9}"
+    for n in (7, 20000):  # 3^49 ~ 2.4e23: worded as a power alone
+        with pytest.raises(BudgetExceededError) as exc:
+            ar.enumerate_gl(ar.chain(3), n, budget=budget)
+        assert exc.value.required is None
+        assert str(exc.value) == f"chain:3 has 3^{n * n} matrices, over the budget of {10**9}"
 
 
 @pytest.mark.parametrize("n", [0, -1])

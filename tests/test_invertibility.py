@@ -15,7 +15,7 @@ from antiring.errors import (
     UnsupportedOperationError,
 )
 
-from conftest import builtin, random_nonzero, random_permutation, relabeled
+from conftest import builtin, random_matrix, random_nonzero, random_permutation, relabeled
 
 
 def enumerate_matrices(semiring, n):
@@ -326,6 +326,51 @@ def test_tropical_off_diagonal_failure():
     a = ar.Matrix(t, [[0, 0], [ar.INF, 0]])
     assert not ar.is_invertible(a)
     assert "off the diagonal" in ar.invertibility_failure(a)
+
+
+def two_product_failure(a):
+    """The definition read off two full products, A @ A^T then A^T @ A: per
+    row the off-diagonal entries in column order, then the diagonal."""
+    sr = a.semiring
+    at = a.transpose()
+    for name, prod in (("A*A^T", a @ at), ("A^T*A", at @ a)):
+        for i, row in enumerate(prod.rows, 1):
+            for j, v in enumerate(row, 1):
+                if j != i and v != sr.zero:
+                    return f"({name})({i},{j}) = {sr.format_element(v)} is nonzero off the diagonal"
+            if sr.unit_inverse(row[i - 1]) is None:
+                return f"({name})({i},{i}) = {sr.format_element(row[i - 1])} is not a unit"
+    return None
+
+
+def seeded_3x3(sr, rng, trials):
+    """Random 3x3 matrices, and monomial ones with a stray entry one time in three."""
+    for trial in range(trials):
+        if trial % 2:
+            a = random_matrix(sr, 3, rng)
+        else:
+            rows = [[sr.zero] * 3 for _ in range(3)]
+            for i, j in enumerate(random_permutation(3, rng).images):
+                rows[i][j - 1] = random_nonzero(sr, rng)
+            if trial % 3 == 0:
+                rows[rng.randrange(3)][rng.randrange(3)] = random_nonzero(sr, rng)
+            a = ar.Matrix(sr, rows)
+        yield a
+
+
+def test_invertibility_failure_messages_match_the_two_product_reference():
+    a = ar.Matrix(ar.chain(3), [[1, 1], [1, 0]])
+    assert ar.invertibility_failure(a) == "(A*A^T)(1,2) = 1 is nonzero off the diagonal"
+    cases = [*enumerate_matrices(ar.chain(3), 2), *enumerate_matrices(ar.powerset(2), 2)]
+    rng = random.Random(23)
+    cases += [*seeded_3x3(ar.tropical(), rng, 300), *seeded_3x3(ar.naturals(), rng, 300)]
+    kinds = set()
+    for a in cases:
+        msg = two_product_failure(a)
+        assert ar.invertibility_failure(a) == msg, a
+        kinds.add(msg and msg.endswith("not a unit"))
+    # invertible, a nonzero off the diagonal, a diagonal non-unit
+    assert kinds == {None, False, True}
 
 
 def test_gl_with_three_atoms():
