@@ -36,6 +36,7 @@ import os
 from functools import cache
 
 from .errors import (
+    BudgetExceededError,
     DegenerateSemiringError,
     FormatError,
     PreconditionError,
@@ -506,13 +507,41 @@ class AxiomReport(Record):
         return self.is_semiring and self.is_commutative and self.is_zerosumfree
 
 
+#: Largest table validate_axioms scans: its rows are gathered as bytes.
+MAX_VALIDATE_SIZE = 256
+
+#: The four laws over triples (a, b, c), in the order they are checked.
+_TRIPLE_LAWS = ("add_associative", "mul_associative", "distributive_left", "distributive_right")
+
+
+def _first_difference(lhs, rhs, n, by_column=False):
+    """The lexicographically first (b, c) at which two n*n cell strings differ.
+
+    Cell (b, c) is byte b*n + c, or c*n + b with ``by_column``.
+    """
+    cells = (divmod(i, n) for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    return min((b, c) for c, b in cells) if by_column else next(cells)
+
+
 def validate_axioms(tables):
     """Exhaustively check the semiring axioms and the antiring predicates.
 
     Scans all pairs/triples of ``tables``; every failed law gets (at least)
-    its first counterexample recorded as a tuple of carrier indices.
+    its first counterexample recorded as a tuple of carrier indices, first
+    in (a, b, c) order.  The identity and pair laws are read cell by cell.
+    Each triple law is checked one ``a`` at a time: both of its sides over
+    every (b, c) are built as one n*n-byte string, by ``bytes.translate``
+    through table rows stored as ``bytes``, and only sides that differ are
+    scanned for the first (b, c).  So a table of more than
+    ``MAX_VALIDATE_SIZE`` (256) elements, whose indices do not fit a byte,
+    is refused with BudgetExceededError.
     """
     n = tables.size
+    if n > MAX_VALIDATE_SIZE:
+        raise BudgetExceededError(
+            f"table has {n} elements, over the axiom-scan cap of {MAX_VALIDATE_SIZE}",
+            required=n,
+        )
     add = tables.add_table
     mul = tables.mul_table
     zero = tables.zero_index
@@ -522,6 +551,27 @@ def validate_axioms(tables):
 
     def record(law, *idx):
         witnesses.setdefault(law, []).append(tuple(idx))
+
+    # rows as bytes, and the same padded to 256 bytes as translate tables
+    A = [bytes(row) for row in add]
+    M = [bytes(row) for row in mul]
+    MT = [bytes(col) for col in zip(*mul)]  # MT[c][b] = mul[b][c]
+    pad = bytes(256 - n)
+    At, Mt, MTt = ([row + pad for row in rows] for rows in (A, M, MT))
+    flat_add, flat_mul, join = b"".join(A), b"".join(M), b"".join
+
+    def sides(law, a):
+        """Both sides of a triple law at ``a``, cell (b, c) at byte b*n + c
+        (c*n + b for distributive_right)."""
+        if law == "add_associative":  # (a+b)+c, a+(b+c)
+            return join([A[x] for x in A[a]]), flat_add.translate(At[a])
+        if law == "mul_associative":
+            return join([M[x] for x in M[a]]), flat_mul.translate(Mt[a])
+        if law == "distributive_left":  # a(b+c), ab+ac
+            return flat_add.translate(Mt[a]), join([M[a].translate(At[x]) for x in M[a]])
+        # (a+b)c, ac+bc
+        return (join([A[a].translate(MTt[c]) for c in rng]),
+                join([MT[c].translate(At[x]) for c, x in enumerate(M[a])]))
 
     for a in rng:
         if add[a][zero] != a or add[zero][a] != a:
@@ -539,15 +589,15 @@ def validate_axioms(tables):
                 record("zerosumfree", a, b)
             if mul[a][b] == zero and a != zero and b != zero and "entire" not in witnesses:
                 record("entire", a, b)
-            for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]] and "add_associative" not in witnesses:
-                    record("add_associative", a, b, c)
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]] and "mul_associative" not in witnesses:
-                    record("mul_associative", a, b, c)
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]] and "distributive_left" not in witnesses:
-                    record("distributive_left", a, b, c)
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]] and "distributive_right" not in witnesses:
-                    record("distributive_right", a, b, c)
+        for law in _TRIPLE_LAWS:
+            if law not in witnesses:
+                lhs, rhs = sides(law, a)
+                if lhs != rhs:
+                    record(law, a, *_first_difference(lhs, rhs, n, law == "distributive_right"))
+
+    # laws in the order a cell-by-cell scan meets them: by first witness
+    # (identity (a,) before pair (a, b) before triple (a, b, c)), ties as checked
+    witnesses = dict(sorted(witnesses.items(), key=lambda item: item[1][0]))
 
     # x nilpotent iff x^|S| = 0: the multiplicative orbit of x cycles within |S| steps
     for x in rng:

@@ -147,17 +147,24 @@ def min_coloring_search(g, num_colors):
     pruning and ascending first-use of new colors, on an explicit stack, so
     the edge count is not bounded by the recursion limit; the first solution
     in canonical order is returned.  Refuses outright (never truncates) when
-    num_colors^edges exceeds MAX_COLORING_STATES.
+    num_colors^edges exceeds MAX_COLORING_STATES; ``required`` is that count
+    while it is at most MAX_COLORING_STATES squared, else None.
     """
     edges = sorted(g.edges)
     if num_colors < 0:
         raise ValueError("color count must be >= 0")
-    states = num_colors ** len(edges) if edges else 1
-    if states > MAX_COLORING_STATES:
+    # grown only up to the budget squared, so a huge space is refused in a
+    # few dozen steps, with ``required`` exact while it is that small
+    states = 1
+    for _ in edges:
+        states *= num_colors
+        if states > MAX_COLORING_STATES ** 2:
+            states = None
+            break
+    if states is None or states > MAX_COLORING_STATES:
+        count = f"{num_colors}^{len(edges)}" + ("" if states is None else f" = {states}")
         raise BudgetExceededError(
-            f"search space {num_colors}^{len(edges)} = {states} "
-            f"exceeds budget {MAX_COLORING_STATES}",
-            required=states,
+            f"search space {count} exceeds budget {MAX_COLORING_STATES}", required=states
         )
     # multiplicity counts: several in-edges (or out-edges) of a vertex may
     # legitimately share a color, so unwinding must not erase siblings

@@ -296,6 +296,23 @@ def test_nilpotency_over_a_non_split_table(tmp_path):
     assert "table:lattice5.tbl" in out.stderr and "Traceback" not in out.stderr
 
 
+def test_tables_over_256_elements_are_refused_at_once(tmp_path):
+    # the axiom scan's cap: a 257-element max/min chain exits 3 before any scan
+    (tmp_path / "chain257.tbl").write_text(ar.format_tables(ar.to_tables(ar.chain(257))))
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("semiring table:chain257.tbl\nn 2\n0 1\n0 0\n")
+    for argv in (["semiring", "validate", str(tmp_path / "chain257.tbl")],
+                 ["--format", "json", "semiring", "validate", str(tmp_path / "chain257.tbl")],
+                 ["check", "nilpotent", str(mfile)]):
+        start = time.perf_counter()
+        out = run(argv)
+        elapsed = time.perf_counter() - start
+        assert (out.exit_code, out.stdout) == (3, ""), argv
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "257 elements" in out.stderr and "Traceback" not in out.stderr
+        assert elapsed < 1.0, (argv, elapsed)
+
+
 def test_help_exits_zero():
     out = run(["--help"])
     assert out.exit_code == 0

@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+import time
 
 import pytest
 
@@ -103,6 +104,132 @@ def test_degenerate_semirings_validate_but_match_no_matrix():
         assert report.is_semiring
         with pytest.raises(DegenerateSemiringError):
             ar.Matrix(sr, [[sr.zero]])
+
+
+def _cell_scan(t):
+    """Reference for validate_axioms: the flags and witnesses of the
+    cell-by-cell scan over pairs and triples (a, b, c), laws in the order
+    the scan first meets them."""
+    add, mul, zero, one, rng = t.add_table, t.mul_table, t.zero_index, t.one_index, range(t.size)
+    triple_laws = {
+        "add_associative": lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]],
+        "mul_associative": lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]],
+        "distributive_left": lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]],
+        "distributive_right": lambda a, b, c: mul[add[a][b]][c] == add[mul[a][c]][mul[b][c]],
+    }
+    witnesses = {}
+
+    def record(law, *idx):
+        witnesses.setdefault(law, []).append(idx)
+
+    for a in rng:
+        if add[a][zero] != a or add[zero][a] != a:
+            record("add_identity", a)
+        if mul[a][one] != a or mul[one][a] != a:
+            record("mul_identity", a)
+        if mul[a][zero] != zero or mul[zero][a] != zero:
+            record("annihilating_zero", a)
+        for b in rng:
+            pair_laws = {
+                "add_commutative": add[a][b] == add[b][a],
+                "mul_commutative": mul[a][b] == mul[b][a],
+                "zerosumfree": add[a][b] != zero or (a, b) == (zero, zero),
+                "entire": mul[a][b] != zero or zero in (a, b),
+            }
+            for law, holds in pair_laws.items():
+                if not holds and law not in witnesses:
+                    record(law, a, b)
+            for c in rng:
+                for law, holds in triple_laws.items():
+                    if law not in witnesses and not holds(a, b, c):
+                        record(law, a, b, c)
+    for x in rng:
+        power = x
+        for k in range(2, t.size + 1):
+            power = mul[power][x]
+            if x != zero and power == zero:
+                record("nilpotent_free", x, k)
+                break
+    flags = (
+        not any(law in witnesses for law in ar.semirings.SEMIRING_LAWS),
+        "mul_commutative" not in witnesses,
+        "zerosumfree" not in witnesses,
+        "entire" not in witnesses,
+        "nilpotent_free" not in witnesses,
+    )
+    return flags, [(law, tuple(ws)) for law, ws in witnesses.items()]
+
+
+def _seeded_tables(rng):
+    """Random tables, and relabeled built-in tables with 0-3 corrupted cells,
+    of 1-16 elements, zero and one at random indices."""
+    for _ in range(150):
+        n = rng.randint(1, 16)
+        yield ar.FiniteTables(
+            n, *(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in "+*"),
+            rng.randrange(n), rng.randrange(n))
+    for _ in range(250):
+        sr = rng.choice((ar.boolean(), ar.chain(2), ar.chain(5), ar.chain(16),
+                         ar.powerset(2), ar.powerset(3), ar.powerset(4)))
+        labels = list(range(sr.size))
+        rng.shuffle(labels)
+        tables = relabeled(sr, labels)[0].tables
+        n = tables.size
+        add, mul = ([list(row) for row in table] for table in (tables.add_table, tables.mul_table))
+        for _ in range(rng.randint(0, 3)):
+            rng.choice((add, mul))[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        yield ar.FiniteTables(n, tuple(map(tuple, add)), tuple(map(tuple, mul)),
+                              tables.zero_index, tables.one_index)
+
+
+def test_validate_axioms_matches_the_cell_by_cell_scan():
+    rng = random.Random(2501)
+    moved = 0
+    for tables in _seeded_tables(rng):
+        report = ar.validate_axioms(tables)
+        flags = tuple(getattr(report, f) for f in ar.AxiomReport.FLAGS)
+        assert (flags, list(report.witnesses.items())) == _cell_scan(tables), tables
+        moved += (tables.zero_index, tables.one_index) != (0, 1)
+    assert moved > 300
+
+
+#: chain:4 under max/min with mul[2][3] corrupted from 2 to 3: at a = 2, the
+#: first failing a, distributive_right fails at (b, c) = (2, 3) and (3, 2).
+#: (c, b) order would meet (3, 2) first.
+DISTRIBUTIVE_RIGHT_TWICE = ar.FiniteTables(
+    size=4,
+    add_table=((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 1, 3), (3, 3, 3, 3)),
+    mul_table=((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 2, 3)),
+    zero_index=0,
+    one_index=3,
+)
+
+
+def test_distributive_right_witness_is_first_in_b_c_order():
+    report = ar.validate_axioms(DISTRIBUTIVE_RIGHT_TWICE)
+    assert report.witnesses["distributive_right"] == ((2, 2, 3),)
+    flags = tuple(getattr(report, f) for f in ar.AxiomReport.FLAGS)
+    assert (flags, list(report.witnesses.items())) == _cell_scan(DISTRIBUTIVE_RIGHT_TWICE)
+
+
+def test_validate_axioms_classifies_256_elements_in_seconds():
+    tables = ar.to_tables(ar.powerset(8))
+    start = time.perf_counter()
+    report = ar.validate_axioms(tables)
+    elapsed = time.perf_counter() - start
+    assert report.is_commutative_antiring and not report.is_entire
+    assert report.has_no_nonzero_nilpotents
+    assert elapsed < 2.0, elapsed
+
+
+def test_validate_axioms_refuses_more_than_256_elements():
+    tables = ar.to_tables(ar.chain(257))
+    with pytest.raises(ar.BudgetExceededError, match="257 elements") as exc:
+        ar.validate_axioms(tables)
+    assert exc.value.required == 257
+    sr = ar.table_semiring(tables)
+    with pytest.raises(ar.BudgetExceededError):
+        sr.is_entire
 
 
 def test_chain_element_arithmetic():

@@ -133,6 +133,15 @@ def test_min_coloring_search_budget_guard():
     with pytest.raises(BudgetExceededError) as exc:
         ar.min_coloring_search(g, 10)
     assert exc.value.required == 10**12
+    assert "search space 10^12 = 1000000000000 exceeds budget" in str(exc.value)
+
+
+def test_min_coloring_search_refuses_a_huge_space_without_building_it():
+    # 3^11175 has 5332 digits, past the int-to-str limit: worded, not printed
+    with pytest.raises(BudgetExceededError) as exc:
+        ar.min_coloring_search(ar.transitive_tournament(150), 3)
+    assert exc.value.required is None
+    assert "search space 3^11175 exceeds budget" in str(exc.value)
 
 
 def test_min_coloring_search_deterministic():
