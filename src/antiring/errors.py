@@ -56,7 +56,12 @@ class Record:
     slots are exactly its constructor's parameters, in order: copy and pickle
     rebuild it as ``cls(*fields)``, through its validation.  A subclass's
     ``__init__`` passes its field values, in slot order, to
-    ``Record.__init__``, then validates them.
+    ``Record.__init__``, and validates them.
+
+    The two carriers are the exception.  ``Matrix`` takes only this class's
+    refusal of assignment; it keeps its own equality, hash and repr, and a
+    lazy slot.  ``Semiring`` defines its own equality, hash and repr too,
+    and still accepts assignment.
     """
 
     __slots__ = ()

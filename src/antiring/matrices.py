@@ -70,10 +70,14 @@ class Matrix:
     """An immutable n x n matrix over a single semiring.
 
     Construction rejects degenerate semirings (0 = 1): none of the matrix
-    theory in this package is meaningful over them.
+    theory in this package is meaningful over them.  Assignment is refused
+    as on a ``Record``; equality, hash and repr are its own, and copy and
+    pickle rebuild it through ``__init__``.
     """
 
     __slots__ = ("semiring", "rows", "_nonzeros")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, semiring, rows):
         semiring.ensure_nondegenerate()
@@ -93,18 +97,21 @@ class Matrix:
             raise ValueError("matrix needs n >= 1")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self.semiring = semiring
-        self.rows = rows
-        self._nonzeros = None
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_nonzeros", None)
 
     @classmethod
     def _make(cls, semiring, rows):
         # trusted fast path: rows already a tuple of tuples of valid payloads
         m = object.__new__(cls)
-        m.semiring = semiring
-        m.rows = rows
-        m._nonzeros = None
+        object.__setattr__(m, "semiring", semiring)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_nonzeros", None)
         return m
+
+    def __reduce__(self):
+        return Matrix, (self.semiring, self.rows)
 
     @property
     def n(self):
@@ -214,10 +221,11 @@ class Matrix:
         if nonzeros is None:
             z = self.semiring.zero
             zero_row = (z,) * len(self.rows)
-            nonzeros = self._nonzeros = tuple(
+            nonzeros = tuple(
                 () if row == zero_row else tuple([(j, v) for j, v in enumerate(row) if v != z])
                 for row in self.rows
             )
+            object.__setattr__(self, "_nonzeros", nonzeros)
         return nonzeros
 
     def support(self):

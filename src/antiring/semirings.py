@@ -3,8 +3,11 @@
 A semiring here is a value object: it names a carrier, distinguished elements
 0 and 1, and two callables ``add`` / ``mul`` acting on raw carrier payloads.
 Payloads are plain hashable Python values (ints, frozensets, ``math.inf``),
-so structural ``==`` is exact equality in the carrier.  All instances are
-immutable and safe to share.
+so structural ``==`` is exact equality in the carrier.  The built-ins are
+shared cached instances: no library code assigns to a semiring after
+``__init__``, and its lazy facts are ``functools.cached_property``.  Treat
+instances as immutable; assignment is not refused yet only because
+``bench/tracer.py`` counts operations by swapping ``add`` and ``mul``.
 
 Each carrier fact is stated once.  ``contains`` is the one membership rule:
 ``coerce`` and ``parse_element`` both end in it, and a subclass only says how
@@ -33,7 +36,7 @@ one character, x -> [e*x != 0], and any other needs two or more.  So
 import itertools
 import math
 import os
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -61,10 +64,6 @@ class Semiring:
     # overridden per subclass
     zero = None
     one = None
-
-    # set on the instance by the first read of ``atoms`` and ``characters``
-    _atoms = None
-    _characters = None
 
     def _key(self):
         return self.descriptor()
@@ -161,21 +160,18 @@ class Semiring:
 
     # --- the atoms of 1 ---
 
-    @property
+    @cached_property
     def atoms(self):
         """The maximal orthogonal decomposition of 1, built and validated once.
 
         Defined on nondegenerate commutative antirings, which is checked
         first (DegenerateSemiringError, then PreconditionError).  The parts
         come from :meth:`_atom_parts`; the result is kept on the instance, so
-        it lives exactly as long as the semiring does.  The lock-free fill is
-        idempotent: threads that race build equal decompositions.
+        it lives exactly as long as the semiring does.
         """
-        if self._atoms is None:
-            self.ensure_nondegenerate()
-            self.ensure_antiring()
-            self._atoms = OrthogonalDecomposition(self, self._atom_parts())
-        return self._atoms
+        self.ensure_nondegenerate()
+        self.ensure_antiring()
+        return OrthogonalDecomposition(self, self._atom_parts())
 
     def _atom_parts(self):
         """Parts of the maximal orthogonal decomposition of 1.
@@ -189,7 +185,7 @@ class Semiring:
             )
         return (self.one,)
 
-    @property
+    @cached_property
     def characters(self):
         """The Boolean characters phi: S -> B, built once: semiring maps that
         together detect every nonzero element, each a predicate truthy
@@ -200,11 +196,9 @@ class Semiring:
         nilpotents, which is checked first.  Kept on the instance like
         ``atoms``.
         """
-        if self._characters is None:
-            self.ensure_nondegenerate()
-            self.ensure_nilpotent_free()
-            self._characters = tuple(self._find_characters())
-        return self._characters
+        self.ensure_nondegenerate()
+        self.ensure_nilpotent_free()
+        return tuple(self._find_characters())
 
     def _find_characters(self):
         """x -> [x != 0], the one character of an entire semiring; the
@@ -641,8 +635,6 @@ class TableSemiring(Semiring):
         mul_t = tables.mul_table
         self.add = lambda a, b: add_t[a][b]
         self.mul = lambda a, b: mul_t[a][b]
-        self._report = None
-        self._units = None
 
     def __reduce__(self):
         return TableSemiring, (self.tables, self.source)
@@ -665,11 +657,9 @@ class TableSemiring(Semiring):
     def contains(self, value):
         return isinstance(value, int) and 0 <= value < self.size
 
-    @property
+    @cached_property
     def axiom_report(self):
-        if self._report is None:
-            self._report = validate_axioms(self.tables)
-        return self._report
+        return validate_axioms(self.tables)
 
     def ensure_antiring(self):
         rep = self.axiom_report
@@ -756,14 +746,17 @@ class TableSemiring(Semiring):
     def is_nilpotent_free(self):
         return self.axiom_report.has_no_nonzero_nilpotents
 
+    @cached_property
+    def _units(self):
+        """Each unit's inverse, read from the tables once."""
+        units = {}
+        for a in range(self.size):
+            for b in range(self.size):
+                if self.mul(a, b) == self.one and self.mul(b, a) == self.one:
+                    units.setdefault(a, b)
+        return units
+
     def unit_inverse(self, value):
-        if self._units is None:
-            units = {}
-            for a in range(self.size):
-                for b in range(self.size):
-                    if self.mul(a, b) == self.one and self.mul(b, a) == self.one:
-                        units.setdefault(a, b)
-            self._units = units
         return self._units.get(value)
 
 

@@ -35,9 +35,10 @@ the sharpness of both color counts.
 """
 
 import itertools
+import operator
 
 from .dag_counting import tracezero_capacity
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, Record
 from .matrices import Matrix
 from .nilpotency import _nilpotent_layers, complete_digraph, transitive_tournament
 
@@ -45,12 +46,14 @@ from .nilpotency import _nilpotent_layers, complete_digraph, transitive_tourname
 MAX_COLORING_STATES = 10**8
 
 
-class EdgeColoring:
+class EdgeColoring(Record):
     """A total coloring of a digraph's edges with colors 1..num_colors.
 
-    Valid only when path-incidence-free: no vertex has an in-edge and an
-    out-edge of the same color (equivalently: no two consecutive edges share
-    a color).
+    ``colors`` is a tuple of ``((u, v), c)`` pairs, one per edge of the
+    digraph, sorted by edge; any mapping or iterable of such pairs is
+    accepted.  Valid only when path-incidence-free: no vertex has an in-edge
+    and an out-edge of the same color (equivalently: no two consecutive edges
+    share a color).
     """
 
     __slots__ = ("digraph", "colors", "num_colors")
@@ -59,12 +62,14 @@ class EdgeColoring:
         colors = dict(colors)
         if set(colors) != set(digraph.edges):
             raise ValueError("coloring must assign exactly the digraph's edges")
-        for e, c in colors.items():
+        by_edge = sorted(colors.items(), key=operator.itemgetter(0))  # edges are distinct
+        super().__init__(digraph, tuple(by_edge), num_colors)
+        for e, c in self.colors:
             if not (isinstance(c, int) and 1 <= c <= num_colors):
                 raise ValueError(f"edge {e} has color {c!r} outside 1..{num_colors}")
         incoming = {}
         outgoing = {}
-        for (u, v), c in colors.items():
+        for (u, v), c in self.colors:
             outgoing.setdefault(u, set()).add(c)
             incoming.setdefault(v, set()).add(c)
         for v in set(incoming) | set(outgoing):
@@ -73,19 +78,13 @@ class EdgeColoring:
                 raise ValueError(
                     f"vertex {v} has an in-edge and an out-edge of color {min(clash)}"
                 )
-        self.digraph = digraph
-        self.colors = colors
-        self.num_colors = num_colors
 
     def color_classes(self):
         """Map color -> frozenset of edges; every color 1..num_colors is a key."""
         classes = {c: set() for c in range(1, self.num_colors + 1)}
-        for e, c in self.colors.items():
+        for e, c in self.colors:
             classes[c].add(e)
         return {c: frozenset(es) for c, es in classes.items()}
-
-    def __repr__(self):
-        return f"EdgeColoring({self.num_colors} colors, {len(self.colors)} edges)"
 
 
 def _binary_color(a, b):
@@ -148,7 +147,9 @@ def min_coloring_search(g, num_colors):
     the edge count is not bounded by the recursion limit; the first solution
     in canonical order is returned.  Refuses outright (never truncates) when
     num_colors^edges exceeds MAX_COLORING_STATES; ``required`` is that count
-    while it is at most MAX_COLORING_STATES squared, else None.
+    while it is at most MAX_COLORING_STATES squared, else None.  The refusal
+    words the count as more than the budget when num_colors alone is larger
+    than the budget squared.
     """
     edges = sorted(g.edges)
     if num_colors < 0:
@@ -162,14 +163,20 @@ def min_coloring_search(g, num_colors):
             states = None
             break
     if states is None or states > MAX_COLORING_STATES:
-        count = f"{num_colors}^{len(edges)}" + ("" if states is None else f" = {states}")
+        shown = MAX_COLORING_STATES ** 2  # the largest base printed in full
+        count = (f"{num_colors}^{len(edges)}" if num_colors <= shown
+                 else f"more than {MAX_COLORING_STATES}")
+        count += "" if states is None else f" = {states}"
         raise BudgetExceededError(
             f"search space {count} exceeds budget {MAX_COLORING_STATES}", required=states
         )
     # multiplicity counts: several in-edges (or out-edges) of a vertex may
-    # legitimately share a color, so unwinding must not erase siblings
-    incoming = {v: [0] * (num_colors + 1) for v in range(1, g.n + 1)}
-    outgoing = {v: [0] * (num_colors + 1) for v in range(1, g.n + 1)}
+    # legitimately share a color, so unwinding must not erase siblings.  New
+    # colors are taken in ascending first use, so none past the edge count
+    # is ever tried.
+    top = min(num_colors, len(edges))
+    incoming = {v: [0] * (top + 1) for v in range(1, g.n + 1)}
+    outgoing = {v: [0] * (top + 1) for v in range(1, g.n + 1)}
     # an explicit stack, one slot per edge: colors[idx] is edge idx's current
     # color (0 before its first try), used[idx] the colors in use before it
     colors = [0] * len(edges)
@@ -191,10 +198,10 @@ def min_coloring_search(g, num_colors):
         idx += 1 if c else -1
     if idx < 0:
         return None
-    return EdgeColoring(g, dict(zip(edges, colors)), num_colors)
+    return EdgeColoring(g, zip(edges, colors), num_colors)
 
 
-class SquareZeroDecomposition:
+class SquareZeroDecomposition(Record):
     """Matrices B_1..B_r with each B_i^2 = 0 and sum(B_i) equal to the source.
 
     Each summand must match the source's semiring and dimension.  A summand
@@ -208,11 +215,11 @@ class SquareZeroDecomposition:
     __slots__ = ("source", "summands")
 
     def __init__(self, source, summands):
-        summands = tuple(summands)
+        super().__init__(source, tuple(summands))
         sr = source.semiring
         add, z = sr.add, sr.zero
         total = [{} for _ in range(source.n)]  # per row, column -> sum so far
-        for b in summands:
+        for b in self.summands:
             source._same_shape(b)
             rows, cols = set(), set()
             for i, row in enumerate(b.nonzeros()):
@@ -230,17 +237,12 @@ class SquareZeroDecomposition:
             for out, row in zip(total, source.nonzeros())
         ):
             raise ValueError("summands do not sum to the source matrix")
-        self.source = source
-        self.summands = summands
 
     def __len__(self):
         return len(self.summands)
 
     def __iter__(self):
         return iter(self.summands)
-
-    def __repr__(self):
-        return f"SquareZeroDecomposition({len(self.summands)} summands, n={self.source.n})"
 
 
 def _split_by_color(matrix, layers):

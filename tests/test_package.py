@@ -33,14 +33,14 @@ def test_module_reads_no_semiring_kind(module):
 
 def test_only_the_record_base_and_the_two_carriers_define_equality():
     """Value types derive from ``errors.Record`` for equality, hash, repr and
-    immutability; a hand-written ``__eq__`` or ``__hash__`` elsewhere would
-    bring back a mutable value class."""
+    immutability; a hand-written ``__eq__``, ``__hash__`` or ``__repr__``
+    elsewhere would bring back a hand-written value class."""
     defining = {
         (path.name, node.name)
         for path in PACKAGE_DIR.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
-        and any(isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__")
+        and any(isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__", "__repr__")
                 for f in node.body)
     }
     assert defining == {("errors.py", "Record"), ("matrices.py", "Matrix"),

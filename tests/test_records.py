@@ -17,6 +17,8 @@ REPORT_FIELDS = dict(is_semiring=True, is_commutative=True, is_zerosumfree=True,
 C3, P2 = ar.chain(3), ar.powerset(2)
 A1, A2, TOP = frozenset({1}), frozenset({2}), frozenset({1, 2})
 SWAP, IDENTITY = ar.Permutation((2, 1)), ar.Permutation((1, 2))
+EDGE = ar.Digraph(2, [(1, 2)])
+SHIFT = ar.Matrix(ar.boolean(), [[0, 1], [0, 0]])
 
 # (class, keyword fields, the same record built positionally, a record with another field)
 CASES = [
@@ -42,6 +44,12 @@ CASES = [
      ar.GlCoordinates(C3, (2, 2), C3.atoms, (IDENTITY,))),
     (ar.IntPolynomial, dict(coeffs=(1, 0, -6, 6)), lambda: ar.IntPolynomial([1, 0, -6, 6, 0]),
      ar.IntPolynomial((-1, 2))),
+    (ar.EdgeColoring, dict(digraph=EDGE, colors=(((1, 2), 1),), num_colors=1),
+     lambda: ar.EdgeColoring(ar.Digraph(2, {(1, 2)}), {(1, 2): 1}, 1),
+     ar.EdgeColoring(ar.Digraph(3, [(1, 2)]), {(1, 2): 1}, 2)),
+    (ar.SquareZeroDecomposition, dict(source=SHIFT, summands=(SHIFT,)),
+     lambda: ar.SquareZeroDecomposition(ar.Matrix(ar.boolean(), [[0, 1], [0, 0]]), [SHIFT]),
+     ar.SquareZeroDecomposition(SHIFT, (SHIFT, ar.Matrix.zeros(ar.boolean(), 2)))),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -93,6 +101,41 @@ def test_copies_and_pickles_are_equal(cls, fields, positional, other):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_a_matrix_refuses_assignment_before_and_after_its_nonzeros_are_read():
+    a = ar.Matrix(ar.boolean(), [[0, 1], [0, 0]])
+    for _ in range(2):
+        for name in ("semiring", "rows", "_nonzeros"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(a, name, getattr(a, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(a, name)
+        assert ar.is_nilpotent(a)  # reads and keeps the nonzeros
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        ar.Matrix(ar.chain(3), [[0, 1], [0, 0]]).rows = ((0, 7), (0, 0))
+    assert a.rows == ((0, 1), (0, 0)) and ar.is_nilpotent(a) and (a @ a).is_zero()
+
+
+@pytest.mark.parametrize("read_nonzeros", [False, True])
+def test_matrix_copies_and_pickles_are_equal(read_nonzeros):
+    for sr, rows in ((ar.boolean(), [[0, 1], [0, 0]]), (P2, [[A1, TOP], [set(), A2]])):
+        a = ar.Matrix(sr, rows)
+        if read_nonzeros:
+            a.nonzeros()
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == a and hash(copied) == hash(a)
+            assert copied.nonzeros() == a.nonzeros()
+
+
+def test_equal_colorings_compare_equal_and_hash_alike():
+    assert ar.tournament_coloring(3) == ar.tournament_coloring(3)
+    assert hash(ar.tournament_coloring(3)) == hash(ar.tournament_coloring(3))
+    assert ar.tournament_coloring(3).colors == (((1, 2), 1), ((1, 3), 2), ((2, 3), 2))
+    coloring = ar.complete_digraph_coloring(3)
+    assert ar.EdgeColoring(coloring.digraph, reversed(coloring.colors), 3) == coloring
 
 
 def test_partition_validation():

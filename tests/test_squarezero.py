@@ -21,7 +21,7 @@ from conftest import (
 def check_path_incidence_free(coloring):
     incoming = {}
     outgoing = {}
-    for (u, v), c in coloring.colors.items():
+    for (u, v), c in dict(coloring.colors).items():
         outgoing.setdefault(u, set()).add(c)
         incoming.setdefault(v, set()).add(c)
     for v in set(incoming) | set(outgoing):
@@ -30,7 +30,7 @@ def check_path_incidence_free(coloring):
 
 def test_tournament_coloring_small():
     c2 = ar.tournament_coloring(2)
-    assert c2.num_colors == 1 and c2.colors == {(1, 2): 1}
+    assert c2.num_colors == 1 and dict(c2.colors) == {(1, 2): 1}
     assert ar.tournament_coloring(1).num_colors == 0
     assert ar.tournament_coloring(5).num_colors == 3
     assert ar.tournament_coloring(8).num_colors == 3
@@ -48,7 +48,7 @@ def test_tournament_coloring_path_incidence_free_up_to_33():
         coloring = ar.tournament_coloring(n)
         check_path_incidence_free(coloring)
         # all declared colors are used
-        assert set(coloring.colors.values()) == set(range(1, coloring.num_colors + 1))
+        assert set(dict(coloring.colors).values()) == set(range(1, coloring.num_colors + 1))
 
 
 def test_capacity_values():
@@ -91,12 +91,12 @@ def test_complete_digraph_coloring_classes_n3():
 def test_complete_digraph_coloring_sizes():
     c = ar.complete_digraph_coloring(2)
     assert c.num_colors == 2
-    assert c.colors[(1, 2)] != c.colors[(2, 1)]
+    assert dict(c.colors)[(1, 2)] != dict(c.colors)[(2, 1)]
     assert ar.complete_digraph_coloring(6).num_colors == 4
     for n in (2, 3, 4, 5, 6, 10):
         coloring = ar.complete_digraph_coloring(n)
         check_path_incidence_free(coloring)
-        assert set(coloring.colors.values()) == set(range(1, coloring.num_colors + 1))
+        assert set(dict(coloring.colors).values()) == set(range(1, coloring.num_colors + 1))
 
 
 def test_edge_coloring_validation():
@@ -125,7 +125,7 @@ def test_min_coloring_search_sharpness():
 def test_min_coloring_search_empty_graph_zero_colors():
     g = ar.Digraph(3, set())
     found = ar.min_coloring_search(g, 0)
-    assert found is not None and found.colors == {}
+    assert found is not None and dict(found.colors) == {}
 
 
 def test_min_coloring_search_budget_guard():
@@ -142,6 +142,19 @@ def test_min_coloring_search_refuses_a_huge_space_without_building_it():
         ar.min_coloring_search(ar.transitive_tournament(150), 3)
     assert exc.value.required is None
     assert "search space 3^11175 exceeds budget" in str(exc.value)
+
+
+def test_min_coloring_search_words_a_base_too_long_to_print():
+    with pytest.raises(BudgetExceededError) as exc:
+        ar.min_coloring_search(ar.transitive_tournament(3), 10**5000)
+    assert exc.value.required is None
+    assert str(exc.value) == "search space more than 100000000 exceeds budget 100000000"
+
+
+def test_min_coloring_search_sizes_its_counters_by_the_edges():
+    # no edge, so nothing to color: the counters hold one slot, not 10^5000 + 1
+    found = ar.min_coloring_search(ar.Digraph(2, ()), 10**5000)
+    assert found is not None and found.colors == () and found.num_colors == 10**5000
 
 
 def test_min_coloring_search_deterministic():
@@ -177,7 +190,7 @@ def test_min_coloring_search_star_needs_no_recursion():
     n = 1500
     g = ar.Digraph(n, {(1, j) for j in range(2, n + 1)})
     found = ar.min_coloring_search(g, 1)
-    assert found is not None and set(found.colors.values()) == {1}
+    assert found is not None and set(dict(found.colors).values()) == {1}
     check_path_incidence_free(found)
 
 
@@ -468,7 +481,8 @@ def _greedy_label_coloring(t):
         color[v] = min(set(range(1, t.n + 1)) - {color.get(w) for w in neighbors[v]})
     used = max(color.values())
     labels = ar.complete_digraph_coloring(used) if used > 1 else None
-    colors = {(i, j): labels.colors[(color[i], color[j])] for (i, j) in g.edges}
+    label_colors = dict(labels.colors) if labels else {}
+    colors = {(i, j): label_colors[(color[i], color[j])] for (i, j) in g.edges}
     return ar.EdgeColoring(g, colors, labels.num_colors if labels else 0)
 
 
